@@ -158,7 +158,7 @@ def fit_cmd(injected, detected, phase_mrad):
 @click.option("--phase-mrad", type=float, default=37.0, show_default=True, help="RMS phase jitter [mrad].")
 @click.option("--phase-sigma-mrad", type=float, default=6.0, show_default=True)
 @click.option("--mc-samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @_lib_errors
 def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phase_sigma_mrad, mc_samples, seed):
     """Monte Carlo propagation of input uncertainties to detected dB."""
@@ -189,7 +189,7 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
 @main.command("optimize")
 @click.option("--eta", type=float, required=True, help="Detection efficiency in [0, 1].")
 @click.option("--phase-mrad", type=float, required=True, help="RMS phase jitter [mrad].")
-@click.option("--max-db", type=float, default=60.0, show_default=True, help="Search ceiling [dB].")
+@click.option("--max-db", type=float, default=60.0, show_default=True, help="Upper limit on the injection level [dB].")
 @_lib_errors
 def optimize_cmd(eta, phase_mrad, max_db):
     """Injection level that maximizes detected squeezing under jitter."""

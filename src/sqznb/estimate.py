@@ -15,6 +15,7 @@ import numpy as np
 
 from .parallel import thread_count
 from .states import MAX_PHASE_RMS, PhaseNoise, propagate
+from .states import jitter_weight, loss_map, mix, readout_db, variances_from_db
 
 __all__ = [
     "MeasurementWithUncertainty",
@@ -34,7 +35,10 @@ __all__ = [
 MC_BLOCK = 65536
 
 _THETA_MAX = float(np.nextafter(MAX_PHASE_RMS, 0.0))
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: A fit target this close above the injected or attainable level is taken as
+#: that level: levels computed by the forward chain carry its rounding.
+_RANGE_SLACK_DB = 1e-10
 
 
 class InfeasibleTargetError(ValueError):
@@ -61,7 +65,11 @@ class MeasurementWithUncertainty:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Root-finding outcome: estimate, residual, and the final bracket."""
+    """Fitted efficiency, forward residual, and the efficiencies that fit.
+
+    The fit is closed-form: ``iterations`` is 0 and ``bracket`` is
+    ``(estimate, estimate)``, or ``(0, 1)`` when vacuum is injected.
+    """
 
     estimate: float
     residual: float
@@ -73,62 +81,43 @@ def fit_efficiency(
     inject_db: float,
     detected_db: float,
     phase_noise: PhaseNoise | float | None = None,
-    *,
-    tol_db: float = 1e-10,
-    max_iterations: int = 200,
 ) -> FitResult:
     """Detection efficiency that reproduces a measured squeezing level.
 
-    Inverts the forward degradation chain by bisection on [0, 1]; the
-    detected level is monotone in the efficiency, so the root is unique.
-    Raises InfeasibleTargetError (stating the attainable range) when no
-    efficiency can produce the requested level at this phase noise.
+    After loss and jitter the detected variance is affine in the efficiency,
+    ``V = 1 - eta * gain``, where ``gain = (1 - v_minus) c2 + (1 - v_plus) s2``
+    is one minus the detected variance at ``eta = 1``.  So
+    ``eta = (1 - 10**(-target/10)) / gain`` exactly.  Squeezing is attainable
+    only when ``gain > 0``, and only up to the level at ``eta = 1``; outside
+    that range InfeasibleTargetError states the range.
     """
     inject_db = float(inject_db)
     target = float(detected_db)
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"detected level must be >= 0 dB, got {detected_db!r}")
-    if target > inject_db:
+    if target > inject_db + _RANGE_SLACK_DB:
         raise ValueError(
             f"detected level {target} dB exceeds the injected level {inject_db} dB"
         )
 
-    def forward(eta: float) -> float:
-        return propagate(inject_db, eta, phase_noise).detected_db
-
+    full = propagate(inject_db, 1.0, phase_noise)
     if inject_db == 0.0:
         # vacuum in, vacuum out: every efficiency reproduces 0 dB
-        return FitResult(1.0, abs(forward(1.0) - target), 0, (0.0, 1.0))
+        return FitResult(1.0, 0.0, 0, (0.0, 1.0))
     if target == 0.0:
-        # forward(0) is exactly 0 dB and the chain is strictly monotone
-        return FitResult(0.0, 0.0, 0, (0.0, 1.0))
+        # eta = 0 reads exactly 0 dB, even where no efficiency squeezes
+        return FitResult(0.0, 0.0, 0, (0.0, 0.0))
 
-    top = forward(1.0)
-    lo_att, hi_att = min(0.0, top), max(0.0, top)
-    if not (lo_att - tol_db <= target <= hi_att + tol_db):
+    gain = 1.0 - full.state.v_minus
+    top = full.detected_db
+    if not (gain > 0.0 and target <= top + _RANGE_SLACK_DB):
         raise InfeasibleTargetError(
             f"detected level {target} dB is unattainable at this phase noise; "
-            f"the attainable range is [{lo_att:.6g}, {hi_att:.6g}] dB"
+            f"the attainable range is [{min(0.0, top):.6g}, {max(0.0, top):.6g}] dB"
         )
-
-    lo, hi = 0.0, 1.0
-    g_lo = -target  # forward(0) - target
-    iterations = 0
-    while iterations < max_iterations:
-        mid = 0.5 * (lo + hi)
-        g_mid = forward(mid) - target
-        iterations += 1
-        if g_mid == 0.0:
-            lo = hi = mid
-            break
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    estimate = 0.5 * (lo + hi)
-    return FitResult(estimate, abs(forward(estimate) - target), iterations, (lo, hi))
+    eta = min(1.0, (1.0 - 10.0 ** (-target / 10.0)) / gain)
+    residual = abs(propagate(inject_db, eta, phase_noise).detected_db - target)
+    return FitResult(eta, residual, 0, (eta, eta))
 
 
 @dataclass(frozen=True)
@@ -146,18 +135,6 @@ class McUncertaintyResult:
     clamped: dict[str, int]
     samples: int
     seed: int
-
-
-def _detected_db_array(inject_db, efficiency, theta):
-    """Vectorized forward chain; mirrors states.propagate on arrays."""
-    v_minus = 10.0 ** (-np.asarray(inject_db) / 10.0)
-    v_plus = 10.0 ** (np.asarray(inject_db) / 10.0)
-    eta = np.asarray(efficiency)
-    s2 = np.sin(np.asarray(theta)) ** 2
-    lossy_minus = eta * v_minus + (1.0 - eta)
-    lossy_plus = eta * v_plus + (1.0 - eta)
-    mixed = lossy_minus * (1.0 - s2) + lossy_plus * s2
-    return -10.0 * np.log10(mixed)
 
 
 def _standard_normal_blocks(samples: int, seed: int, workers: int) -> np.ndarray:
@@ -187,26 +164,24 @@ def _first_order_sigma(
     efficiency: MeasurementWithUncertainty,
     phase_rms: MeasurementWithUncertainty,
 ) -> float:
-    """Quadrature sum of sigma * d(detected dB)/d(input), by central differences."""
+    """Quadrature sum of sigma * d(detected dB)/d(input), from the analytic gradient.
 
-    def forward(s, e, t):
-        return float(_detected_db_array(s, e, t))
-
-    center = [inject_db.value, efficiency.value, phase_rms.value]
-    bounds = [(0.0, math.inf), (0.0, 1.0), (0.0, _THETA_MAX)]
-    sigmas = [inject_db.sigma, efficiency.sigma, phase_rms.sigma]
-    total = 0.0
-    for i, (sigma, (lo, hi)) in enumerate(zip(sigmas, bounds)):
-        if sigma == 0.0:
-            continue
-        h = 1e-6 * max(1.0, abs(center[i]))
-        a = max(lo, center[i] - h)
-        b = min(hi, center[i] + h)
-        up, down = list(center), list(center)
-        up[i], down[i] = b, a
-        slope = (forward(*up) - forward(*down)) / (b - a)
-        total += (slope * sigma) ** 2
-    return math.sqrt(total)
+    With ``V = mix(loss_map(v_minus, eta), loss_map(v_plus, eta), s2)`` and
+    ``t = -10 log10(V)``: ``dt/ds = eta (v_minus c2 - v_plus s2) / V`` for the
+    injected level s in dB, ``dt/deta = -10 D / (V ln 10)`` with
+    ``D = dV/deta = (v_minus - 1) c2 + (v_plus - 1) s2``, and
+    ``dt/dtheta = -10 eta (v_plus - v_minus) sin(2 theta) / (V ln 10)``.
+    """
+    eta, theta = efficiency.value, phase_rms.value
+    v_plus, v_minus = variances_from_db(inject_db.value)
+    s2 = jitter_weight(theta)
+    v = mix(loss_map(v_minus, eta), loss_map(v_plus, eta), s2)
+    d_inject = eta * mix(v_minus, -v_plus, s2) / v
+    d_eta = -10.0 * mix(v_minus - 1.0, v_plus - 1.0, s2) / (v * math.log(10.0))
+    d_theta = -10.0 * eta * (v_plus - v_minus) * math.sin(2.0 * theta) / (v * math.log(10.0))
+    return math.hypot(
+        d_inject * inject_db.sigma, d_eta * efficiency.sigma, d_theta * phase_rms.sigma
+    )
 
 
 def mc_uncertainty(
@@ -247,7 +222,9 @@ def mc_uncertainty(
         "phase_rms": int(np.count_nonzero(raw_theta != theta)),
     }
 
-    detected = _detected_db_array(inj, eff, theta)
+    v_plus, v_minus = variances_from_db(inj)
+    s2 = jitter_weight(theta)
+    detected = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
     return McUncertaintyResult(
         mean_db=float(np.mean(detected)),
         sigma_db=float(np.std(detected, ddof=1)),
@@ -272,17 +249,19 @@ def optimal_inject_db(
     phase_noise: PhaseNoise | float,
     *,
     max_db: float = 60.0,
-    tol_db: float = 1e-6,
 ) -> OptimalInjection:
     """Injection level in [0, max_db] that maximizes the detected squeezing.
 
     Stronger injection narrows the squeezed quadrature but inflates the
     orthogonal one, which phase jitter folds back into the measurement; the
-    trade-off peaks at a finite level.  For a lossless chain the optimum
-    satisfies exp(2 r) = cot(theta_rms), where the level is 10 log10(e) * 2r
-    dB.  Solved by golden-section search (the detected level is unimodal in
-    the injection).  Zero jitter has no finite optimum and raises
-    NoFiniteOptimumError.
+    trade-off peaks at a finite level.  With ``x = 10**(inject_db/10)`` the
+    detected variance ``1 + eta * ((1/x - 1) c2 + (x - 1) s2)`` is least at
+    ``x = cot(theta_rms)`` for every efficiency, so the optimum is the closed
+    form ``10 log10(cot(theta_rms))`` dB clamped to ``[0, max_db]``, and
+    ``iterations`` is 0.  At ``eta = 0`` this is the ``eta -> 0+`` limit and
+    the detected level is exactly 0.0 dB.  Zero jitter has no finite optimum
+    and raises NoFiniteOptimumError; a negative or non-finite ``max_db``
+    raises ValueError.
     """
     noise = phase_noise if isinstance(phase_noise, PhaseNoise) else PhaseNoise(float(phase_noise))
     if noise.theta_rms == 0.0:
@@ -294,23 +273,9 @@ def optimal_inject_db(
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
 
-    def forward(level: float) -> float:
-        return propagate(level, eta, noise).detected_db
+    ceiling = float(max_db)
+    if not (math.isfinite(ceiling) and ceiling >= 0.0):
+        raise ValueError(f"max_db must be >= 0 and finite, got {max_db!r}")
 
-    lo, hi = 0.0, float(max_db)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = forward(x1), forward(x2)
-    iterations = 2
-    while hi - lo > tol_db:
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = forward(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = forward(x2)
-        iterations += 1
-    best = 0.5 * (lo + hi)
-    return OptimalInjection(best, forward(best), iterations)
+    best = min(max(10.0 * math.log10(1.0 / math.tan(noise.theta_rms)), 0.0), ceiling)
+    return OptimalInjection(best, propagate(best, eta, noise).detected_db, 0)

@@ -26,14 +26,12 @@ noise touches the standard quantum limit where K = 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c, hbar
 
-from .parallel import thread_count
-from .states import LossChain, PhaseNoise, SqueezedState, apply_loss, apply_phase_noise, state_from_db
+from .states import LossChain, PhaseNoise, SqueezedState, mix, propagate
 
 __all__ = [
     "ANGLE_POLICIES",
@@ -86,7 +84,9 @@ class InterferometerConfig:
     def __post_init__(self):
         for name in ("arm_length", "mirror_mass", "arm_power", "cavity_pole", "wavelength"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+            ):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
@@ -160,8 +160,7 @@ class SqueezerSetup:
 
     def degraded_state(self) -> SqueezedState:
         """Squeezed state at the readout, after loss and phase jitter."""
-        injected = state_from_db(self.inject_db, self.fixed_angle)
-        return apply_phase_noise(apply_loss(injected, self.chain.total), self.phase_noise)
+        return propagate(self.inject_db, self.chain, self.phase_noise, angle=self.fixed_angle).state
 
 
 def _angular(frequency) -> np.ndarray:
@@ -217,8 +216,7 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
             variance = state.v_minus
         else:
             relative = np.arctan2(1.0, -kappa) - state.angle
-            s2 = np.sin(relative) ** 2
-            variance = state.v_minus * (1.0 - s2) + state.v_plus * s2
+            variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
 
     out = np.sqrt(vacuum_psd * variance)
     return out.item() if np.ndim(frequency) == 0 else out
@@ -265,20 +263,10 @@ def quantum_noise_curve(
 ) -> QuantumNoiseCurve:
     """Evaluate the quantum noise ASD over a grid of frequencies.
 
-    The grid may be split into chunks evaluated across up to
-    ``SQZNB_THREADS`` workers; the evaluation is point-wise, so the result
-    is bit-identical to sequential evaluation regardless of worker count.
+    The evaluation is point-wise and vectorized in one pass over the grid.
     """
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1:
         raise ValueError("frequency grid must be 1-d")
-    workers = thread_count()
-    if workers > 1 and f.size >= 2 * workers:
-        bounds = np.linspace(0, f.size, workers + 1).astype(int)
-        chunks = [f[bounds[i]:bounds[i + 1]] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: quantum_noise_asd(config, setup, chunk), chunks))
-        asd = np.concatenate(parts)
-    else:
-        asd = np.asarray(quantum_noise_asd(config, setup, f))
+    asd = np.asarray(quantum_noise_asd(config, setup, f))
     return QuantumNoiseCurve(f, asd, config, setup)

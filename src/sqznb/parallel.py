@@ -1,8 +1,9 @@
-"""Worker-count control for embarrassingly parallel evaluation.
+"""Worker-count control for the Monte Carlo draws.
 
-The environment variable ``SQZNB_THREADS`` caps internal parallelism for
-grid evaluation and Monte Carlo batching.  Results never depend on the
-worker count; it only trades wall time for threads.
+The environment variable ``SQZNB_THREADS`` caps the threads that draw the
+fixed Philox blocks of ``mc_uncertainty``; nothing else in the package is
+threaded.  Results never depend on the worker count; it only trades wall
+time for threads.
 """
 
 from __future__ import annotations

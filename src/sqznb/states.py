@@ -32,6 +32,47 @@ HEISENBERG_RTOL = 1e-12
 MAX_PHASE_RMS = math.pi / 4
 
 
+# The forward arithmetic, written once, on floats or numpy arrays and without
+# validation.  Floats go through math and arrays through numpy, whose log10 and
+# exp can differ from libm's in the last bit, so each keeps its own bits.
+
+
+def _lib(x):
+    if isinstance(x, (int, float)):
+        return math
+    import numpy  # loaded already by whoever made the array; states stays pure math
+
+    return numpy
+
+
+def variances_from_db(squeeze_db):
+    """``(v_plus, v_minus)`` of a pure state squeezed by ``squeeze_db`` dB."""
+    return 10.0 ** (squeeze_db / 10.0), 10.0 ** (-squeeze_db / 10.0)
+
+
+def loss_map(v, eta):
+    """Variance after mixing with vacuum at power transmission ``eta``."""
+    return eta * v + (1.0 - eta)
+
+
+def jitter_weight(theta_rms, exact_gaussian=False):
+    """Share of the orthogonal quadrature that jitter mixes in; see apply_phase_noise."""
+    if exact_gaussian:
+        return 0.5 * (1.0 - _lib(theta_rms).exp(-2.0 * theta_rms**2))
+    return _lib(theta_rms).sin(theta_rms) ** 2
+
+
+def mix(v, v_orth, s2):
+    """Variance of a convex mix: ``v`` weighted ``1 - s2`` and ``v_orth`` weighted ``s2``."""
+    return v * (1.0 - s2) + v_orth * s2
+
+
+def readout_db(v):
+    """Squeezing in dB below vacuum of a measured variance ``v``."""
+    # "+ 0.0" folds the -0.0 produced by vacuum into a plain 0.0
+    return -10.0 * _lib(v).log10(v) + 0.0
+
+
 @dataclass(frozen=True)
 class SqueezedState:
     """Gaussian state summarized by its two quadrature variances.
@@ -139,7 +180,7 @@ def state_from_db(squeeze_db: float, angle: float = 0.0) -> SqueezedState:
     squeeze_db = float(squeeze_db)
     if not (math.isfinite(squeeze_db) and squeeze_db >= 0.0):
         raise ValueError(f"squeeze_db must be >= 0 and finite, got {squeeze_db!r}")
-    return SqueezedState(10.0 ** (squeeze_db / 10.0), 10.0 ** (-squeeze_db / 10.0), angle)
+    return SqueezedState(*variances_from_db(squeeze_db), angle)
 
 
 def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
@@ -152,11 +193,7 @@ def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     eta = float(efficiency)
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
-    return SqueezedState(
-        eta * state.v_plus + (1.0 - eta),
-        eta * state.v_minus + (1.0 - eta),
-        state.angle,
-    )
+    return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta), state.angle)
 
 
 def apply_phase_noise(
@@ -177,15 +214,9 @@ def apply_phase_noise(
     """
     if not isinstance(noise, PhaseNoise):
         noise = PhaseNoise(float(noise))
-    if exact_gaussian:
-        s2 = 0.5 * (1.0 - math.exp(-2.0 * noise.theta_rms**2))
-    else:
-        s2 = math.sin(noise.theta_rms) ** 2
-    c2 = 1.0 - s2
+    s2 = jitter_weight(noise.theta_rms, exact_gaussian)
     return SqueezedState(
-        c2 * state.v_plus + s2 * state.v_minus,
-        c2 * state.v_minus + s2 * state.v_plus,
-        state.angle,
+        mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2), state.angle
     )
 
 
@@ -195,8 +226,7 @@ def detected_db(state: SqueezedState) -> float:
     Positive means noise below vacuum; a state whose measured quadrature is
     noisier than vacuum comes out negative.
     """
-    # "+ 0.0" folds the -0.0 produced by vacuum into a plain 0.0
-    return -10.0 * math.log10(state.v_minus) + 0.0
+    return readout_db(state.v_minus)
 
 
 @dataclass(frozen=True)

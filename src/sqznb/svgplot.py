@@ -7,6 +7,7 @@ identical inputs.
 from __future__ import annotations
 
 import math
+from html import escape
 from pathlib import Path
 
 import numpy as np
@@ -106,21 +107,21 @@ def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_labe
         )
         parts.append(
             f'<text x="{legend_x + 32}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">{escape(label)}</text>'
         )
 
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:g}" y="28" font-size="16" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
+            f'font-family="sans-serif">{escape(title)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:g}" y="{HEIGHT - 16}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{x_label}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:g}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">{y_label}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">{escape(y_label)}</text>'
     )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

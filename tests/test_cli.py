@@ -144,6 +144,11 @@ class TestUncertaintyCommand:
         result = runner.invoke(main, ["uncertainty", "--mc-samples", "10"])
         assert result.exit_code == 2
 
+    def test_negative_seed_exits_2(self, runner):
+        result = runner.invoke(main, ["uncertainty", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output and "x>=0" in result.output
+
 
 class TestOptimizeCommand:
     def test_lossless_35_mrad(self, runner, schema_dir):
@@ -155,6 +160,19 @@ class TestOptimizeCommand:
     def test_zero_jitter_exits_2(self, runner):
         result = runner.invoke(main, ["optimize", "--eta", "1.0", "--phase-mrad", "0"])
         assert result.exit_code == 2
+
+    def test_zero_efficiency(self, runner, schema_dir):
+        payload = invoke_json(runner, ["optimize", "--eta", "0", "--phase-mrad", "35"])
+        validate(schema_dir, "optimize.schema.json", payload)
+        assert payload["optimal_inject_db"] == pytest.approx(14.56, abs=0.01)
+        assert payload["detected_db"] == 0.0
+
+    def test_negative_max_db_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["optimize", "--eta", "1.0", "--phase-mrad", "35", "--max-db", "-1"]
+        )
+        assert result.exit_code == 2
+        assert "max_db" in result.output
 
 
 class TestBudgetCommand:
@@ -199,6 +217,19 @@ class TestBudgetCommand:
         import xml.etree.ElementTree as ET
 
         ET.fromstring(svg)  # well-formed XML
+
+    def test_svg_escapes_markup_in_labels(self, runner, configs_dir, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["label"] = "H1 & L1 <demo>"
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "amp"), "--svg"])
+        assert result.exit_code == 0, result.output
+        root = ET.parse(tmp_path / "amp.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "H1 & L1 <demo>" in texts
 
     def test_aligo_budget_with_thermal_component(self, runner, configs_dir, tmp_path):
         out = tmp_path / "aligo"

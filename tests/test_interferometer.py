@@ -57,6 +57,9 @@ class TestInterferometerConfig:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError, match="mirror_mass"):
             InterferometerConfig(4000.0, 0.0, 1e4, 90.0)
+        # bool is an int subclass; a flag is not a length
+        with pytest.raises(ValueError, match="arm_length"):
+            InterferometerConfig(True, 10.7, 1e4, 90.0)
 
     def test_pole_from_finesse(self):
         cfg = InterferometerConfig.from_finesse(
@@ -230,14 +233,6 @@ class TestQuantumNoiseCurve:
         left = quantum_noise_curve(aligo_like, setup, GRID[:137]).asd
         right = quantum_noise_curve(aligo_like, setup, GRID[137:]).asd
         np.testing.assert_array_equal(whole, np.concatenate([left, right]))
-
-    def test_worker_count_does_not_change_bits(self, aligo_like, monkeypatch):
-        setup = fig3_setup("fixed")
-        monkeypatch.delenv("SQZNB_THREADS", raising=False)
-        sequential = quantum_noise_curve(aligo_like, setup, GRID).asd
-        monkeypatch.setenv("SQZNB_THREADS", "4")
-        threaded = quantum_noise_curve(aligo_like, setup, GRID).asd
-        np.testing.assert_array_equal(sequential, threaded)
 
     def test_rejects_unsorted_grid(self, aligo_like):
         with pytest.raises(ValueError, match="increasing"):

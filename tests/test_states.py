@@ -21,6 +21,7 @@ from sqznb import (
     propagate,
     state_from_db,
 )
+from sqznb.states import jitter_weight, loss_map, mix, readout_db, variances_from_db
 
 
 class TestSqueezedState:
@@ -282,3 +283,19 @@ class TestPropagate:
             for theta in np.linspace(0.0, 0.5, 21)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
+
+
+class TestForwardKernel:
+    @pytest.mark.parametrize("exact_gaussian", [False, True])
+    def test_arrays_match_the_scalar_chain(self, exact_gaussian):
+        rng = np.random.default_rng(14)
+        inject, eta, theta = rng.uniform(0, 30, 300), rng.uniform(0, 1, 300), rng.uniform(0, 0.7, 300)
+        v_plus, v_minus = variances_from_db(inject)
+        s2 = jitter_weight(theta, exact_gaussian)
+        detected = readout_db(mix(loss_map(v_minus, eta), loss_map(v_plus, eta), s2))
+        expected = [
+            propagate(float(s), float(e), float(t), exact_gaussian=exact_gaussian).detected_db
+            for s, e, t in zip(inject, eta, theta)
+        ]
+        # numpy's log10 and exp may differ from libm's in the last bit
+        np.testing.assert_allclose(detected, expected, rtol=1e-12, atol=1e-12)
