@@ -11,6 +11,7 @@ from .budget import (
     AsdFileError,
     BandImprovement,
     NoiseBudget,
+    NumericalRangeError,
     TabulatedASD,
     compose,
     equivalent_power_increase,
@@ -34,7 +35,6 @@ from .estimate import (
 from .interferometer import (
     ANGLE_POLICIES,
     InterferometerConfig,
-    NumericalRangeError,
     QuantumNoiseCurve,
     SqueezerSetup,
     coupling_kappa,

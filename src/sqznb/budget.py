@@ -13,6 +13,9 @@ blank lines are ignored, encoding is UTF-8, and both LF and CRLF line ends
 are accepted.  Written floats use ``repr`` so a read-back reproduces them
 bit-exactly.
 
+Every frequency curve in the package, tabulated, computed or plotted, is
+checked by ``_validated_curve`` alone.
+
 Independent noises add in power, so the total of a budget is the
 point-wise root-sum-square of its component ASDs.
 """
@@ -20,7 +23,7 @@ point-wise root-sum-square of its component ASDs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 __all__ = [
     "ASD_CSV_HEADER",
     "AsdFileError",
+    "NumericalRangeError",
     "TabulatedASD",
     "NoiseBudget",
     "BandImprovement",
@@ -51,20 +55,45 @@ class AsdFileError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def _validated_curve(frequencies, values, what="asd"):
+class NumericalRangeError(ValueError):
+    """A spectral value left the positive finite range; carries its frequency."""
+
+    def __init__(self, message: str, frequency: float | None = None):
+        super().__init__(message)
+        self.frequency = frequency
+
+
+def _validated_curve(frequencies, curves=(), *, min_points=1):
+    """The rule for a frequency curve: return the frequencies and values as float arrays.
+
+    The frequencies must form a 1-d array of at least ``min_points``
+    positive, finite, strictly increasing values, else ValueError.  Each
+    ``(name, values)`` pair in ``curves`` must have the same shape, else
+    ValueError, and positive finite values, else NumericalRangeError naming
+    the first bad frequency.
+    """
     f = np.asarray(frequencies, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if f.ndim != 1 or v.shape != f.shape:
-        raise ValueError(f"frequencies and {what} must be matching 1-d arrays")
-    if f.size < 2:
-        raise ValueError("need at least 2 rows")
+    if f.ndim != 1:
+        raise ValueError(f"frequencies must be a 1-d array, got shape {f.shape}")
+    if f.size < min_points:
+        raise ValueError(f"need at least {min_points} frequency points, got {f.size}")
     if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
         raise ValueError("frequencies must be positive and finite")
     if np.any(np.diff(f) <= 0.0):
         raise ValueError("frequencies must be strictly increasing")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-        raise ValueError(f"{what} values must be positive and finite")
-    return f, v
+    checked = []
+    for name, values in curves:
+        v = np.asarray(values, dtype=float)
+        if v.shape != f.shape:
+            raise ValueError(f"{name} has shape {v.shape} but the frequency grid has {f.shape}")
+        bad = ~(np.isfinite(v) & (v > 0.0))
+        if bad.any():
+            f_bad = float(f[int(np.argmax(bad))])
+            raise NumericalRangeError(
+                f"{name} is not a positive finite number at {f_bad} Hz", frequency=f_bad
+            )
+        checked.append(v)
+    return f, checked
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -83,7 +112,9 @@ class TabulatedASD:
     source: str = ""
 
     def __post_init__(self):
-        f, v = _validated_curve(self.frequencies, self.asd)
+        f, (v,) = _validated_curve(
+            self.frequencies, [(f"ASD {self.label!r}", self.asd)], min_points=2
+        )
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(v))
 
@@ -146,7 +177,7 @@ def write_asd_csv(path, frequencies, asd, comments=()) -> None:
     Floats are written with ``repr`` so ingesting the file reproduces the
     arrays bit-exactly.
     """
-    f, v = _validated_curve(frequencies, asd)
+    f, (v,) = _validated_curve(frequencies, [("ASD", asd)], min_points=2)
     lines = [ASD_CSV_HEADER]
     lines.extend(f"# {comment}" for comment in comments)
     lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(f, v))
@@ -160,14 +191,12 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
     exactly.  Grid points outside the tabulated span raise ValueError
     naming the offending frequency (no extrapolation).
     """
-    g = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise ValueError("grid frequencies must be positive and finite")
+    g, _ = _validated_curve(grid)
     lo = table.frequencies[0]
     hi = table.frequencies[-1]
     outside = (g < lo) | (g > hi)
     if outside.any():
-        f_bad = float(np.atleast_1d(g)[np.atleast_1d(outside)][0])
+        f_bad = float(g[outside][0])
         raise ValueError(
             f"cannot resample {table.label!r}: {f_bad} Hz is outside the tabulated span "
             f"[{lo} Hz, {hi} Hz]"
@@ -182,64 +211,41 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NoiseBudget:
-    """Named ASD components on a common grid plus their quadrature sum."""
+    """Named ASD components on a common grid and their quadrature sum.
+
+    ``total`` is derived, not passed: the point-wise root-sum-square of the
+    components, accumulated in label-sorted order so that it is exactly
+    invariant under reordering them.  ``compose`` builds one from pairs.
+    """
 
     grid: np.ndarray
     components: dict[str, np.ndarray]
-    total: np.ndarray
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-            raise ValueError("grid frequencies must be positive and finite")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid frequencies must be strictly increasing")
-        comps = {}
-        power = np.zeros_like(g)
-        for label in sorted(self.components):
-            values = np.asarray(self.components[label], dtype=float)
-            if values.shape != g.shape:
-                raise ValueError(f"component {label!r} does not match the grid length")
-            if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-                raise ValueError(f"component {label!r} has non-positive or non-finite values")
-            power = power + values * values
-        for label, values in self.components.items():
-            comps[label] = _freeze(np.asarray(values, dtype=float))
-        total = np.asarray(self.total, dtype=float)
-        if total.shape != g.shape:
-            raise ValueError("total does not match the grid length")
-        if not np.allclose(total * total, power, rtol=1e-12, atol=0.0):
-            raise ValueError("total is not the root-sum-square of the components")
-        object.__setattr__(self, "grid", _freeze(g))
-        object.__setattr__(self, "components", comps)
+        if not self.components:
+            raise ValueError("need at least one component")
+        grid, values = _validated_curve(
+            self.grid, [(f"component {k!r}", v) for k, v in self.components.items()]
+        )
+        comps = dict(zip(self.components, values))
+        power = np.zeros_like(grid)
+        with np.errstate(over="ignore"):  # an overflow fails the check of the total below
+            for label in sorted(comps):
+                power = power + comps[label] * comps[label]
+        _, (total,) = _validated_curve(grid, [("total", np.sqrt(power))])
+        object.__setattr__(self, "grid", _freeze(grid))
+        object.__setattr__(self, "components", {k: _freeze(v) for k, v in comps.items()})
         object.__setattr__(self, "total", _freeze(total))
 
 
 def compose(grid, components) -> NoiseBudget:
-    """Combine named ASD components into a budget with an RSS total.
-
-    ``components`` is a sequence of ``(label, values)`` pairs; labels must
-    be unique.  The total is accumulated in label-sorted order, so it is
-    exactly invariant under permutations of the input sequence.
-    """
-    g = np.asarray(grid, dtype=float)
-    comps = [(str(label), np.asarray(values, dtype=float)) for label, values in components]
-    if not comps:
-        raise ValueError("need at least one component")
+    """Combine ``(label, values)`` pairs into a budget; labels must be unique."""
+    comps = [(str(label), values) for label, values in components]
     labels = [label for label, _ in comps]
     if len(set(labels)) != len(labels):
         raise ValueError(f"component labels must be unique, got {labels}")
-    for label, values in comps:
-        if values.shape != g.shape:
-            raise ValueError(
-                f"component {label!r} has {values.size} points but the grid has {g.size}"
-            )
-    power = np.zeros_like(g)
-    for _, values in sorted(comps, key=lambda kv: kv[0]):
-        power = power + values * values
-    return NoiseBudget(g, dict(comps), np.sqrt(power))
+    return NoiseBudget(grid, dict(comps))
 
 
 @dataclass(frozen=True)

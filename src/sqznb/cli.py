@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 
 from .budget import (
+    NumericalRangeError,
     compose,
     equivalent_power_increase,
     improvement_db,
@@ -26,7 +27,7 @@ from .budget import (
 )
 from .config import LOW_BAND, RunConfig, load_run_config
 from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
-from .interferometer import NumericalRangeError, SqueezerSetup, quantum_noise_curve
+from .interferometer import SqueezerSetup, quantum_noise_curve
 from .states import LossChain, PhaseNoise, propagate
 from .svgplot import write_loglog_svg
 

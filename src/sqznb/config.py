@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .interferometer import InterferometerConfig, SqueezerSetup
-from .states import LossChain, PhaseNoise
+from .states import LossChain, PhaseNoise, as_float
 
 __all__ = ["GridSpec", "RunConfig", "load_run_config", "DEFAULT_BAND", "LOW_BAND"]
 
@@ -81,9 +81,7 @@ def _number(section: dict, key: str, where: str, default=None) -> float:
     value = section.get(key, default)
     if value is None:
         raise ValueError(f"{where} is missing {key!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return as_float(value, f"{where}.{key}")
 
 
 def _parse_interferometer(section: dict) -> InterferometerConfig:

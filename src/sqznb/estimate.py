@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import thread_count
-from .states import MAX_PHASE_RMS, PhaseNoise, propagate
+from .states import MAX_PHASE_RMS, PhaseNoise, as_float, propagate
 from .states import jitter_weight, loss_map, mix, readout_db, variances_from_db
 
 __all__ = [
@@ -57,9 +57,9 @@ class MeasurementWithUncertainty:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not math.isfinite(as_float(self.value, "value")):
             raise ValueError(f"value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+        if not (math.isfinite(as_float(self.sigma, "sigma")) and self.sigma >= 0.0):
             raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma!r}")
 
 
@@ -91,8 +91,8 @@ def fit_efficiency(
     only when ``gain > 0``, and only up to the level at ``eta = 1``; outside
     that range InfeasibleTargetError states the range.
     """
-    inject_db = float(inject_db)
-    target = float(detected_db)
+    inject_db = as_float(inject_db, "inject_db")
+    target = as_float(detected_db, "detected level")
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"detected level must be >= 0 dB, got {detected_db!r}")
     if target > inject_db + _RANGE_SLACK_DB:
@@ -263,17 +263,17 @@ def optimal_inject_db(
     and raises NoFiniteOptimumError; a negative or non-finite ``max_db``
     raises ValueError.
     """
-    noise = phase_noise if isinstance(phase_noise, PhaseNoise) else PhaseNoise(float(phase_noise))
+    noise = phase_noise if isinstance(phase_noise, PhaseNoise) else PhaseNoise(phase_noise)
     if noise.theta_rms == 0.0:
         raise NoFiniteOptimumError(
             "detected squeezing grows monotonically with the injected level when "
             "phase jitter is zero; there is no finite optimum"
         )
-    eta = float(efficiency)
+    eta = as_float(efficiency, "efficiency")
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
 
-    ceiling = float(max_db)
+    ceiling = as_float(max_db, "max_db")
     if not (math.isfinite(ceiling) and ceiling >= 0.0):
         raise ValueError(f"max_db must be >= 0 and finite, got {max_db!r}")
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c, hbar
 
-from .states import LossChain, PhaseNoise, SqueezedState, mix, propagate
+from .budget import NumericalRangeError, _freeze, _validated_curve
+from .states import LossChain, PhaseNoise, SqueezedState, as_float, mix, propagate
 
 __all__ = [
     "ANGLE_POLICIES",
@@ -46,14 +47,6 @@ __all__ = [
 ]
 
 ANGLE_POLICIES = ("none", "fixed", "fd-optimal")
-
-
-class NumericalRangeError(ValueError):
-    """A computed spectral value left the positive finite range."""
-
-    def __init__(self, message: str, frequency: float | None = None):
-        super().__init__(message)
-        self.frequency = frequency
 
 
 @dataclass(frozen=True)
@@ -84,9 +77,7 @@ class InterferometerConfig:
     def __post_init__(self):
         for name in ("arm_length", "mirror_mass", "arm_power", "cavity_pole", "wavelength"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-            ):
+            if not (math.isfinite(as_float(value, name)) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @classmethod
@@ -104,7 +95,7 @@ class InterferometerConfig:
         pole = c / (4 F L); equivalently the angular half-bandwidth is
         g = pi c / (2 F L).
         """
-        if not (math.isfinite(finesse) and finesse > 0):
+        if not (math.isfinite(as_float(finesse, "finesse")) and finesse > 0):
             raise ValueError(f"finesse must be positive and finite, got {finesse!r}")
         pole = c / (4.0 * finesse * arm_length)
         return cls(arm_length, mirror_mass, arm_power, pole, wavelength, label)
@@ -139,7 +130,8 @@ class SqueezerSetup:
     fixed_angle: float = math.pi / 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.inject_db) and self.inject_db >= 0.0):
+        inject_db = as_float(self.inject_db, "inject_db")
+        if not (math.isfinite(inject_db) and inject_db >= 0.0):
             raise ValueError(f"inject_db must be >= 0 and finite, got {self.inject_db!r}")
         if not isinstance(self.chain, LossChain):
             raise ValueError("chain must be a LossChain")
@@ -151,7 +143,8 @@ class SqueezerSetup:
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {self.angle_policy!r}"
             )
         object.__setattr__(self, "angle_policy", policy)
-        if not (math.isfinite(self.fixed_angle) and 0.0 <= self.fixed_angle < math.pi):
+        angle = as_float(self.fixed_angle, "fixed_angle")
+        if not (math.isfinite(angle) and 0.0 <= angle < math.pi):
             raise ValueError(f"fixed_angle must be in [0, pi), got {self.fixed_angle!r}")
 
     @property
@@ -164,12 +157,18 @@ class SqueezerSetup:
 
 
 def _angular(frequency) -> np.ndarray:
-    f = np.asarray(frequency, dtype=float)
-    if f.size == 0:
-        raise ValueError("frequency input is empty")
-    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("frequencies must be positive and finite")
+    f, _ = _validated_curve(np.atleast_1d(frequency))
     return 2.0 * np.pi * f
+
+
+def _sql(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
+    return math.sqrt(8.0 * hbar / config.mirror_mass) / (config.arm_length * omega)
+
+
+def _kappa(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
+    g = config.pole_omega
+    numerator = 16.0 * config.arm_power * config.carrier_omega * g
+    return numerator / (config.mirror_mass * config.arm_length * c * omega**2 * (g * g + omega**2))
 
 
 def sql_asd(config: InterferometerConfig, frequency):
@@ -178,8 +177,7 @@ def sql_asd(config: InterferometerConfig, frequency):
     Scales as 1/f, 1/L and 1/sqrt(M).  Accepts a scalar or an array of
     frequencies in Hz.
     """
-    omega = _angular(frequency)
-    out = math.sqrt(8.0 * hbar / config.mirror_mass) / (config.arm_length * omega)
+    out = _sql(config, _angular(frequency))
     return out.item() if np.ndim(frequency) == 0 else out
 
 
@@ -189,10 +187,7 @@ def coupling_kappa(config: InterferometerConfig, frequency):
     K = 16 P w0 g / (M L c Omega^2 (g^2 + Omega^2)); dimensionless, linear
     in the arm power and strictly decreasing in frequency.
     """
-    omega = _angular(frequency)
-    g = config.pole_omega
-    numerator = 16.0 * config.arm_power * config.carrier_omega * g
-    out = numerator / (config.mirror_mass * config.arm_length * c * omega**2 * (g * g + omega**2))
+    out = _kappa(config, _angular(frequency))
     return out.item() if np.ndim(frequency) == 0 else out
 
 
@@ -203,8 +198,9 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
     sqrt(h_sql^2/2 (K + 1/K)); squeezed policies scale the underlying PSD
     by the ellipse variance projected on the readout noise quadrature.
     """
-    kappa = np.asarray(coupling_kappa(config, frequency))
-    h_sql = np.asarray(sql_asd(config, frequency))
+    omega = _angular(frequency)
+    kappa = _kappa(config, omega)
+    h_sql = _sql(config, omega)
     vacuum_psd = 0.5 * h_sql**2 * (1.0 + kappa**2) / kappa
 
     if setup.angle_policy == "none":
@@ -232,27 +228,9 @@ class QuantumNoiseCurve:
     setup: SqueezerSetup
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        a = np.asarray(self.asd, dtype=float)
-        if f.ndim != 1 or a.shape != f.shape:
-            raise ValueError("frequencies and asd must be matching 1-d arrays")
-        if f.size == 0:
-            raise ValueError("frequency grid is empty")
-        if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-            raise ValueError("frequencies must be positive and finite")
-        if np.any(np.diff(f) <= 0.0):
-            raise ValueError("frequencies must be strictly increasing")
-        bad = ~(np.isfinite(a) & (a > 0.0))
-        if bad.any():
-            f_bad = float(f[int(np.argmax(bad))])
-            raise NumericalRangeError(
-                f"quantum noise ASD is not a positive finite number at {f_bad} Hz",
-                frequency=f_bad,
-            )
-        for name, arr in (("frequencies", f), ("asd", a)):
-            frozen = arr.copy()
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+        f, (a,) = _validated_curve(self.frequencies, [("quantum noise ASD", self.asd)])
+        object.__setattr__(self, "frequencies", _freeze(f))
+        object.__setattr__(self, "asd", _freeze(a))
 
     def __len__(self):
         return self.frequencies.size
@@ -266,7 +244,4 @@ def quantum_noise_curve(
     The evaluation is point-wise and vectorized in one pass over the grid.
     """
     f = np.asarray(frequencies, dtype=float)
-    if f.ndim != 1:
-        raise ValueError("frequency grid must be 1-d")
-    asd = np.asarray(quantum_noise_asd(config, setup, f))
-    return QuantumNoiseCurve(f, asd, config, setup)
+    return QuantumNoiseCurve(f, quantum_noise_asd(config, setup, f), config, setup)

@@ -9,6 +9,7 @@ amplitude decibels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -30,6 +31,13 @@ HEISENBERG_RTOL = 1e-12
 # Beyond pi/4 of RMS jitter the quadrature labels would effectively swap and
 # the small-angle mixing model stops making sense.
 MAX_PHASE_RMS = math.pi / 4
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a float; a bool or a non-number raises ValueError naming ``name``."""
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 # The forward arithmetic, written once, on floats or numpy arrays and without
@@ -131,6 +139,7 @@ class PhaseNoise:
     theta_rms: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_rms", as_float(self.theta_rms, "theta_rms"))
         if not (math.isfinite(self.theta_rms) and self.theta_rms >= 0.0):
             raise ValueError(f"theta_rms must be >= 0 and finite, got {self.theta_rms!r}")
         if self.theta_rms >= MAX_PHASE_RMS:
@@ -150,7 +159,9 @@ class LossChain:
     elements: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        normalized = tuple((str(label), float(eff)) for label, eff in self.elements)
+        normalized = tuple(
+            (str(label), as_float(eff, f"efficiency for {label!r}")) for label, eff in self.elements
+        )
         for label, eff in normalized:
             if not (math.isfinite(eff) and 0.0 < eff <= 1.0):
                 raise ValueError(
@@ -177,7 +188,7 @@ def state_from_db(squeeze_db: float, angle: float = 0.0) -> SqueezedState:
     ``v_minus = 10**(-squeeze_db/10)`` and ``v_plus = 1/v_minus``, so the
     uncertainty product is exactly 1 up to rounding; 0 dB gives vacuum.
     """
-    squeeze_db = float(squeeze_db)
+    squeeze_db = as_float(squeeze_db, "squeeze_db")
     if not (math.isfinite(squeeze_db) and squeeze_db >= 0.0):
         raise ValueError(f"squeeze_db must be >= 0 and finite, got {squeeze_db!r}")
     return SqueezedState(*variances_from_db(squeeze_db), angle)
@@ -190,7 +201,7 @@ def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     state unchanged and 0 replaces it with vacuum.  The squeeze angle is
     unaffected (loss is quadrature-symmetric).
     """
-    eta = float(efficiency)
+    eta = as_float(efficiency, "efficiency")
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
     return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta), state.angle)
@@ -213,7 +224,7 @@ def apply_phase_noise(
     order in the jitter.  The mix preserves v_plus + v_minus.
     """
     if not isinstance(noise, PhaseNoise):
-        noise = PhaseNoise(float(noise))
+        noise = PhaseNoise(noise)
     s2 = jitter_weight(noise.theta_rms, exact_gaussian)
     return SqueezedState(
         mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2), state.angle
@@ -259,14 +270,9 @@ def propagate(
     phase_noise : PhaseNoise or float, optional
         RMS quadrature-angle jitter; None means no jitter.
     """
-    eta = losses.total if isinstance(losses, LossChain) else float(losses)
-    if phase_noise is None:
-        noise = PhaseNoise(0.0)
-    elif isinstance(phase_noise, PhaseNoise):
-        noise = phase_noise
-    else:
-        noise = PhaseNoise(float(phase_noise))
+    eta = losses.total if isinstance(losses, LossChain) else as_float(losses, "efficiency")
     injected = state_from_db(inject_db, angle)
     after_loss = apply_loss(injected, eta)
+    noise = PhaseNoise() if phase_noise is None else phase_noise
     final = apply_phase_noise(after_loss, noise, exact_gaussian=exact_gaussian)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

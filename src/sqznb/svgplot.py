@@ -10,7 +10,7 @@ import math
 from html import escape
 from pathlib import Path
 
-import numpy as np
+from .budget import _validated_curve
 
 __all__ = ["write_loglog_svg"]
 
@@ -32,16 +32,21 @@ def _decade_ceil(x: float) -> int:
 
 
 def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_label="ASD [1/√Hz]"):
-    """Write a log-log line plot; ``curves`` is a list of (label, x, y)."""
+    """Write a log-log line plot; ``curves`` is a list of (label, x, y).
+
+    Each curve must pass the package's frequency-curve check.
+    """
     if not curves:
         raise ValueError("need at least one curve")
-    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in curves])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in curves])
-    if np.any(xs <= 0) or np.any(ys <= 0) or not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("curves must be positive and finite for log axes")
+    checked = []
+    for label, x, y in curves:
+        xs, (ys,) = _validated_curve(x, [(f"curve {label!r}", y)])
+        checked.append((label, xs, ys))
 
-    x0, x1 = _decade_floor(xs.min()), _decade_ceil(xs.max())
-    y0, y1 = _decade_floor(ys.min()), _decade_ceil(ys.max())
+    x0 = _decade_floor(min(x[0] for _, x, _ in checked))
+    x1 = _decade_ceil(max(x[-1] for _, x, _ in checked))
+    y0 = _decade_floor(min(y.min() for _, _, y in checked))
+    y1 = _decade_ceil(max(y.max() for _, _, y in checked))
     if x1 == x0:
         x1 += 1
     if y1 == y0:
@@ -87,11 +92,9 @@ def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_labe
             f'text-anchor="end" font-family="sans-serif">{10.0 ** d:g}</text>'
         )
 
-    for i, (label, x, y) in enumerate(curves):
+    for i, (label, x, y) in enumerate(checked):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{px(float(xi)):.2f},{py(float(yi)):.2f}" for xi, yi in zip(np.asarray(x), np.asarray(y))
-        )
+        points = " ".join(f"{px(float(xi)):.2f},{py(float(yi)):.2f}" for xi, yi in zip(x, y))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>'
         )

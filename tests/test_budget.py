@@ -153,10 +153,20 @@ class TestCompose:
         with pytest.raises(ValueError, match="grid"):
             compose(self.GRID, [("a", np.ones(3))])
 
-    def test_inconsistent_total_rejected(self):
-        values = np.full_like(self.GRID, 1e-23)
-        with pytest.raises(ValueError, match="root-sum-square"):
-            NoiseBudget(self.GRID, {"a": values}, values * 2.0)
+    def test_budget_derives_the_composed_total(self):
+        rng = np.random.default_rng(8)
+        parts = [(label, 10.0 ** rng.uniform(-24, -22, self.GRID.size)) for label in "cab"]
+        direct = NoiseBudget(self.GRID, dict(parts))
+        np.testing.assert_array_equal(direct.total, compose(self.GRID, parts).total)
+        assert list(direct.components) == ["c", "a", "b"]
+
+
+def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path):
+    from sqznb.svgplot import write_loglog_svg
+
+    with pytest.raises(ValueError, match="curve 'a'"):
+        write_loglog_svg(tmp_path / "bad.svg", [("a", [1.0, 10.0, 100.0], [1.0, 2.0])])
+    assert not (tmp_path / "bad.svg").exists()
 
 
 class TestImprovement:

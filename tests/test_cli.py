@@ -257,6 +257,17 @@ class TestBudgetCommand:
         assert result.exit_code == 3
         assert "Hz" in result.output
 
+    def test_overflowing_total_exits_3(self, runner, configs_dir, tmp_path):
+        table = tmp_path / "huge.csv"
+        table.write_text("frequency_hz,asd_strain_per_sqrt_hz\n1.0,1e200\n100000.0,1e200\n")
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["components"] = [{"label": "huge", "file": "huge.csv"}]
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "huge")])
+        assert result.exit_code == 3, result.output
+        assert "total is not a positive finite number at 10.0 Hz" in result.output
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -34,6 +34,10 @@ class TestMeasurementWithUncertainty:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             MeasurementWithUncertainty(1.0, -0.1)
+        with pytest.raises(ValueError, match="must be a number"):
+            MeasurementWithUncertainty(True, False)
+        with pytest.raises(ValueError, match="sigma"):
+            MeasurementWithUncertainty(1.0, False)
 
     def test_zero_sigma_is_legal(self):
         assert MeasurementWithUncertainty(2.0).sigma == 0.0
@@ -71,6 +75,10 @@ class TestFitEfficiency:
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError, match=">= 0"):
             fit_efficiency(6.0, -0.5, PhaseNoise(0.0))
+        with pytest.raises(ValueError, match="must be a number"):
+            fit_efficiency(True, False)
+        with pytest.raises(ValueError, match="detected level"):
+            fit_efficiency(6.0, False)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(12)
@@ -226,3 +234,5 @@ class TestOptimalInjectDb:
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
             optimal_inject_db(1.2, PhaseNoise(0.02))
+        with pytest.raises(ValueError, match="must be a number"):
+            optimal_inject_db(True, PhaseNoise(0.02))

@@ -60,6 +60,8 @@ class TestInterferometerConfig:
         # bool is an int subclass; a flag is not a length
         with pytest.raises(ValueError, match="arm_length"):
             InterferometerConfig(True, 10.7, 1e4, 90.0)
+        with pytest.raises(ValueError, match="finesse"):
+            InterferometerConfig.from_finesse(4000.0, 10.7, 1e4, finesse=True)
 
     def test_pole_from_finesse(self):
         cfg = InterferometerConfig.from_finesse(
@@ -88,6 +90,8 @@ class TestSqueezerSetup:
     def test_rejects_negative_injection(self):
         with pytest.raises(ValueError, match="inject_db"):
             SqueezerSetup(inject_db=-1.0)
+        with pytest.raises(ValueError, match="inject_db"):
+            SqueezerSetup(inject_db=True, angle_policy="fixed")
 
     def test_degraded_state_matches_chain(self):
         setup = fig3_setup()

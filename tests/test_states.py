@@ -52,7 +52,7 @@ class TestPhaseNoise:
     def test_zero_is_legal(self):
         assert PhaseNoise(0.0).theta_rms == 0.0
 
-    @pytest.mark.parametrize("bad", [-0.001, math.pi / 4, 1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-0.001, math.pi / 4, 1.0, math.nan, False])
     def test_rejects_out_of_regime(self, bad):
         with pytest.raises(ValueError):
             PhaseNoise(bad)
@@ -69,7 +69,7 @@ class TestLossChain:
     def test_unit_element_is_neutral(self):
         assert LossChain((("a", 1.0), ("b", 0.44))).total == pytest.approx(0.44, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, math.nan, True])
     def test_rejects_out_of_range_efficiency(self, bad):
         with pytest.raises(ValueError):
             LossChain((("x", bad),))
@@ -106,6 +106,15 @@ class TestStateFromDb:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             state_from_db(-0.1)
+        # bool is an int subclass; a flag is not a level
+        with pytest.raises(ValueError, match="squeeze_db"):
+            state_from_db(True)
+        with pytest.raises(ValueError, match="must be a number"):
+            propagate(True, True, False)
+        with pytest.raises(ValueError, match="efficiency"):
+            propagate(10.3, True)
+        with pytest.raises(ValueError, match="theta_rms"):
+            propagate(10.3, 0.44, False)
 
 
 class TestApplyLoss:
@@ -122,7 +131,7 @@ class TestApplyLoss:
         state = apply_loss(state_from_db(20.0), 0.0)
         assert (state.v_plus, state.v_minus) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, math.nan, True])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             apply_loss(VACUUM, bad)
