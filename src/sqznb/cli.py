@@ -89,7 +89,7 @@ def main():
     "loss_flags",
     multiple=True,
     metavar="LABEL=EFF",
-    help="Named power-transmission efficiency in (0, 1]; repeatable, efficiencies multiply.",
+    help="Named power-transmission efficiency in [0, 1]; repeatable, efficiencies multiply.",
 )
 @click.option("--phase-mrad", type=float, default=0.0, show_default=True, help="RMS phase jitter [mrad].")
 @click.option(

@@ -38,9 +38,9 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if not (math.isfinite(self.f_min) and self.f_min > 0.0):
+        if not (math.isfinite(as_float(self.f_min, "f_min")) and self.f_min > 0.0):
             raise ValueError(f"f_min must be positive and finite, got {self.f_min!r}")
-        if not (math.isfinite(self.f_max) and self.f_max > self.f_min):
+        if not (math.isfinite(as_float(self.f_max, "f_max")) and self.f_max > self.f_min):
             raise ValueError(f"f_max must exceed f_min, got {self.f_max!r}")
         if int(self.points) != self.points or self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")

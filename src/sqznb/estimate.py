@@ -8,13 +8,12 @@ the injection level that maximizes detected squeezing under phase jitter.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import thread_count
-from .states import MAX_PHASE_RMS, PhaseNoise, as_float, propagate
+from .states import MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
 from .states import jitter_weight, loss_map, mix, readout_db, variances_from_db
 
 __all__ = [
@@ -30,8 +29,8 @@ __all__ = [
 ]
 
 #: Monte Carlo draws happen in fixed blocks of this many samples, each block
-#: from its own counter-based substream, so results are independent of the
-#: worker count.
+#: from its own counter-based substream, so the draws depend only on
+#: (samples, seed) and the working memory beyond the result is one block.
 MC_BLOCK = 65536
 
 _THETA_MAX = float(np.nextafter(MAX_PHASE_RMS, 0.0))
@@ -137,26 +136,23 @@ class McUncertaintyResult:
     seed: int
 
 
-def _standard_normal_blocks(samples: int, seed: int, workers: int) -> np.ndarray:
-    """(3, samples) standard normals in fixed Philox blocks.
+def _whole_number(value, name: str) -> int:
+    """``value`` as a non-negative int; a bool, a fraction or a negative raises ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return int(value)
 
-    Block ``b`` draws from ``Philox(seed)`` jumped ``b`` times (a jump
-    advances the counter by 2**128), so the stream layout depends only on
-    (samples, seed) and blocks can be computed by any number of workers.
-    """
-    n_blocks = (samples + MC_BLOCK - 1) // MC_BLOCK
 
-    def draw(block: int) -> np.ndarray:
-        n = min(MC_BLOCK, samples - block * MC_BLOCK)
-        gen = np.random.Generator(np.random.Philox(seed).jumped(block))
-        return gen.standard_normal((3, n))
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(draw, range(n_blocks)))
-    else:
-        parts = [draw(b) for b in range(n_blocks)]
-    return np.concatenate(parts, axis=1)
+def _clip_counted(m: MeasurementWithUncertainty, z, low, high, counts, name) -> np.ndarray:
+    """Draws ``m.value + m.sigma * z`` clipped to [low, high]; adds the clipped count."""
+    raw = m.value + m.sigma * z
+    inside = np.clip(raw, low, high)
+    counts[name] += int(np.count_nonzero(raw != inside))
+    return inside
 
 
 def _first_order_sigma(
@@ -190,48 +186,46 @@ def mc_uncertainty(
     phase_rms: MeasurementWithUncertainty,
     samples: int = 100_000,
     seed: int = 42,
-    workers: int | None = None,
 ) -> McUncertaintyResult:
     """Propagate input uncertainties to the detected squeezing level.
 
-    Draws independent Gaussians per input (Philox counter-based generator,
-    reproducible for a fixed seed and independent of the worker count),
-    pushes each draw through the forward chain, and reports the sample mean
-    and standard deviation of the detected dB.  Draws outside the physical
-    domain (negative injection, efficiency outside [0, 1], jitter outside
-    [0, pi/4)) are clamped to the domain edge and counted.
+    Draws independent Gaussians per input, pushes each draw through the
+    forward chain, and reports the sample mean and standard deviation of the
+    detected dB.  Draws outside the physical domain (negative injection,
+    efficiency outside [0, 1], jitter outside [0, pi/4)) are clamped to the
+    domain edge and counted.  The draws come in blocks of ``MC_BLOCK``: block
+    ``b`` is drawn from ``Philox(seed)`` jumped ``b`` times (a jump advances
+    the counter by 2**128), so results are reproducible for a fixed
+    (samples, seed), and memory is the 8-byte-per-sample result plus one
+    block.  ``samples`` and ``seed`` must be whole numbers >= 0, and
+    ``samples`` at least 1000.
     """
-    samples = int(samples)
+    samples = _whole_number(samples, "samples")
+    seed = _whole_number(seed, "seed")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a meaningful spread, got {samples}")
     # the central values themselves must be valid inputs
     propagate(inject_db.value, efficiency.value, PhaseNoise(phase_rms.value))
-    if workers is None:
-        workers = thread_count()
 
-    z = _standard_normal_blocks(samples, int(seed), workers)
-    raw_inject = inject_db.value + inject_db.sigma * z[0]
-    raw_eff = efficiency.value + efficiency.sigma * z[1]
-    raw_theta = phase_rms.value + phase_rms.sigma * z[2]
-    inj = np.clip(raw_inject, 0.0, None)
-    eff = np.clip(raw_eff, 0.0, 1.0)
-    theta = np.clip(raw_theta, 0.0, _THETA_MAX)
-    clamped = {
-        "inject_db": int(np.count_nonzero(raw_inject != inj)),
-        "efficiency": int(np.count_nonzero(raw_eff != eff)),
-        "phase_rms": int(np.count_nonzero(raw_theta != theta)),
-    }
-
-    v_plus, v_minus = variances_from_db(inj)
-    s2 = jitter_weight(theta)
-    detected = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
+    detected = np.empty(samples)
+    clamped = {"inject_db": 0, "efficiency": 0, "phase_rms": 0}
+    for block, start in enumerate(range(0, samples, MC_BLOCK)):
+        stop = min(start + MC_BLOCK, samples)
+        gen = np.random.Generator(np.random.Philox(seed).jumped(block))
+        z = gen.standard_normal((3, stop - start))
+        inj = _clip_counted(inject_db, z[0], 0.0, None, clamped, "inject_db")
+        eff = _clip_counted(efficiency, z[1], 0.0, 1.0, clamped, "efficiency")
+        theta = _clip_counted(phase_rms, z[2], 0.0, _THETA_MAX, clamped, "phase_rms")
+        v_plus, v_minus = variances_from_db(inj)
+        s2 = jitter_weight(theta)
+        detected[start:stop] = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
     return McUncertaintyResult(
         mean_db=float(np.mean(detected)),
         sigma_db=float(np.std(detected, ddof=1)),
         first_order_sigma_db=_first_order_sigma(inject_db, efficiency, phase_rms),
         clamped=clamped,
         samples=samples,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -269,9 +263,7 @@ def optimal_inject_db(
             "detected squeezing grows monotonically with the injected level when "
             "phase jitter is zero; there is no finite optimum"
         )
-    eta = as_float(efficiency, "efficiency")
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
+    eta = as_efficiency(efficiency)
 
     ceiling = as_float(max_db, "max_db")
     if not (math.isfinite(ceiling) and ceiling >= 0.0):

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c, hbar
 
 from .budget import NumericalRangeError, _freeze, _validated_curve
 from .states import LossChain, PhaseNoise, SqueezedState, as_float, mix, propagate
@@ -47,6 +46,10 @@ __all__ = [
 ]
 
 ANGLE_POLICIES = ("none", "fixed", "fd-optimal")
+
+#: Speed of light [m/s] and reduced Planck constant [J s], both exact in the 2019 SI.
+c = 299792458.0
+hbar = 6.62607015e-34 / (2 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,14 @@ def as_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def as_efficiency(value, name: str = "efficiency") -> float:
+    """``value`` as a power efficiency: a finite number in [0, 1], else ValueError naming ``name``."""
+    eta = as_float(value, name)
+    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return eta
+
+
 # The forward arithmetic, written once, on floats or numpy arrays and without
 # validation.  Floats go through math and arrays through numpy, whose log10 and
 # exp can differ from libm's in the last bit, so each keeps its own bits.
@@ -102,9 +110,9 @@ class SqueezedState:
     angle: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.v_plus) and self.v_plus > 0.0):
+        if not (math.isfinite(as_float(self.v_plus, "v_plus")) and self.v_plus > 0.0):
             raise ValueError(f"v_plus must be positive and finite, got {self.v_plus!r}")
-        if not (math.isfinite(self.v_minus) and self.v_minus > 0.0):
+        if not (math.isfinite(as_float(self.v_minus, "v_minus")) and self.v_minus > 0.0):
             raise ValueError(f"v_minus must be positive and finite, got {self.v_minus!r}")
         if self.v_plus < self.v_minus:
             raise ValueError(
@@ -116,7 +124,7 @@ class SqueezedState:
             raise ValueError(
                 f"unphysical state: v_plus*v_minus = {product!r} is below the Heisenberg bound"
             )
-        if not math.isfinite(self.angle):
+        if not math.isfinite(as_float(self.angle, "angle")):
             raise ValueError(f"angle must be finite, got {self.angle!r}")
 
     @property
@@ -153,20 +161,17 @@ class LossChain:
     """Ordered, named power-transmission efficiencies from source to detector.
 
     Each element is a ``(label, efficiency)`` pair with efficiency in
-    (0, 1]; the chain composes multiplicatively.
+    [0, 1]; the chain composes multiplicatively, and an element at 0 blocks
+    the squeezed light entirely (the chain detects vacuum).
     """
 
     elements: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         normalized = tuple(
-            (str(label), as_float(eff, f"efficiency for {label!r}")) for label, eff in self.elements
+            (str(label), as_efficiency(eff, f"efficiency for {label!r}"))
+            for label, eff in self.elements
         )
-        for label, eff in normalized:
-            if not (math.isfinite(eff) and 0.0 < eff <= 1.0):
-                raise ValueError(
-                    f"efficiency for {label!r} must be in (0, 1], got {eff!r}"
-                )
         object.__setattr__(self, "elements", normalized)
 
     @classmethod
@@ -201,9 +206,7 @@ def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     state unchanged and 0 replaces it with vacuum.  The squeeze angle is
     unaffected (loss is quadrature-symmetric).
     """
-    eta = as_float(efficiency, "efficiency")
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency!r}")
+    eta = as_efficiency(efficiency)
     return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta), state.angle)
 
 

@@ -8,6 +8,7 @@ import pytest
 from sqznb import (
     ASD_CSV_HEADER,
     AsdFileError,
+    GridSpec,
     NoiseBudget,
     TabulatedASD,
     compose,
@@ -265,3 +266,20 @@ class TestEquivalentPowerIncrease:
         values = [equivalent_power_increase(x) for x in xs]
         np.testing.assert_allclose(values, 10 ** (xs / 10.0) - 1.0, rtol=1e-15)
         assert np.all(np.diff(values) > 0)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize(
+        "f_min, f_max, points",
+        [
+            (0.0, 10.0, 5),
+            (10.0, 10.0, 5),
+            (1.0, math.inf, 5),
+            (1.0, 10.0, 1),
+            (True, 10.0, 5),  # bool is an int subclass; a flag is not a frequency
+            (0.5, True, 5),
+        ],
+    )
+    def test_rejects_bad_span(self, f_min, f_max, points):
+        with pytest.raises(ValueError):
+            GridSpec(f_min, f_max, points)

@@ -85,6 +85,17 @@ class TestPropagateCommand:
         assert payload["efficiency"] == pytest.approx(0.492, abs=1e-12)
         assert [e["label"] for e in payload["loss_chain"]] == ["mm", "omc", "faraday"]
 
+    def test_zero_loss_element_gives_vacuum(self, runner, schema_dir):
+        blocked = invoke_json(
+            runner, ["propagate", "--inject-db", "10.3", "--loss", "mm=0", "--phase-mrad", "37"]
+        )
+        validate(schema_dir, "propagate.schema.json", blocked)
+        assert blocked["detected_db"] == 0.0
+        bare = invoke_json(
+            runner, ["propagate", "--inject-db", "10.3", "--eta", "0", "--phase-mrad", "37"]
+        )
+        assert bare["detected_db"] == 0.0
+
     def test_vacuum_input(self, runner):
         payload = invoke_json(
             runner, ["propagate", "--inject-db", "0", "--eta", "0.5", "--phase-mrad", "10"]
@@ -372,3 +383,13 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["detected_db"] == pytest.approx(2.2108, abs=0.001)
+
+
+def test_cli_import_loads_neither_scipy_nor_threads():
+    code = (
+        "import sys, sqznb.cli; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

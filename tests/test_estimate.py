@@ -122,11 +122,32 @@ class TestMcUncertainty:
         assert a.mean_db == b.mean_db
         assert a.sigma_db == b.sigma_db
 
-    def test_worker_count_does_not_change_bits(self):
-        a = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=200_000, seed=9, workers=1)
-        b = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=200_000, seed=9, workers=4)
-        assert a.mean_db == b.mean_db
-        assert a.sigma_db == b.sigma_db
+    @pytest.mark.parametrize(
+        "samples, seed, mean_hex, sigma_hex, clamped",
+        [
+            (65536, 0, "0x1.e8ee065d61029p-2", "0x1.59279867faf7bp-2", (7004, 20141, 2083)),
+            (65536, 9, "0x1.eaa6b3b748cb4p-2", "0x1.5b7030d330b28p-2", (7024, 20028, 2026)),
+            (65537, 0, "0x1.e8eec5c9af1bfp-2", "0x1.592720e93930ep-2", (7004, 20142, 2083)),
+            (65537, 9, "0x1.eaa5647722326p-2", "0x1.5b7024da81302p-2", (7024, 20028, 2026)),
+            (200000, 0, "0x1.ea82ad1d29b85p-2", "0x1.5a50132562fcap-2", (21400, 61515, 6501)),
+            (200000, 9, "0x1.ea1913d602719p-2", "0x1.5aa327c998b0ap-2", (21174, 61781, 6390)),
+        ],
+    )
+    def test_stream_layout_is_pinned(self, samples, seed, mean_hex, sigma_hex, clamped):
+        # One block, one block plus one sample, and several blocks, with inputs
+        # wide enough that every input clamps: the Philox block layout, the
+        # clamp counts and the reduction order all fix these bits.
+        result = mc_uncertainty(
+            MeasurementWithUncertainty(0.5, 0.4),
+            MeasurementWithUncertainty(0.95, 0.1),
+            MeasurementWithUncertainty(0.037, 0.02),
+            samples=samples,
+            seed=seed,
+        )
+        assert result.mean_db.hex() == mean_hex
+        assert result.sigma_db.hex() == sigma_hex
+        counts = result.clamped
+        assert (counts["inject_db"], counts["efficiency"], counts["phase_rms"]) == clamped
 
     def test_different_seeds_differ(self):
         a = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=10_000, seed=1)
@@ -170,6 +191,31 @@ class TestMcUncertainty:
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="1000"):
             mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=10)
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("seed", True, "seed must be a whole number"),
+            ("seed", 2.7, "seed must be a whole number"),
+            ("seed", -1, "seed must be >= 0"),
+            ("seed", "7", "seed must be a whole number"),
+            ("samples", 1500.9, "samples must be a whole number"),
+            ("samples", False, "samples must be a whole number"),
+            ("samples", math.inf, "samples must be a whole number"),
+        ],
+        ids=["seed-bool", "seed-fraction", "seed-negative", "seed-string",
+             "samples-fraction", "samples-bool", "samples-inf"],
+    )
+    def test_rejects_bad_seed_and_samples(self, argument, value, message):
+        kwargs = {"samples": 2000, argument: value}
+        with pytest.raises(ValueError, match=message):
+            mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, **kwargs)
+
+    def test_whole_float_counts_are_accepted(self):
+        a = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=2000.0, seed=np.int64(5))
+        b = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=2000, seed=5)
+        assert a == b
+        assert type(a.samples) is int and type(a.seed) is int
 
     def test_rejects_invalid_central_values(self):
         with pytest.raises(ValueError):

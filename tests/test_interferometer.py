@@ -254,26 +254,3 @@ class TestQuantumNoiseCurve:
         curve = quantum_noise_curve(aligo_like, SqueezerSetup(), GRID)
         with pytest.raises(ValueError):
             curve.asd[0] = 1.0
-
-
-class TestThreadCap:
-    def test_default_is_sequential(self, monkeypatch):
-        from sqznb.parallel import thread_count
-
-        monkeypatch.delenv("SQZNB_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_parses_and_clamps(self, monkeypatch):
-        from sqznb.parallel import thread_count
-
-        monkeypatch.setenv("SQZNB_THREADS", "6")
-        assert thread_count() == 6
-        monkeypatch.setenv("SQZNB_THREADS", "0")
-        assert thread_count() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        from sqznb.parallel import thread_count
-
-        monkeypatch.setenv("SQZNB_THREADS", "many")
-        with pytest.raises(ValueError, match="SQZNB_THREADS"):
-            thread_count()

@@ -38,10 +38,17 @@ class TestSqueezedState:
         with pytest.raises(ValueError, match="Heisenberg"):
             SqueezedState(1.0, 0.5)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
     def test_rejects_nonpositive_variance(self, bad):
         with pytest.raises(ValueError):
             SqueezedState(2.0, bad)
+
+    def test_rejects_booleans(self):
+        # bool is an int subclass; a flag is not a variance or an angle
+        with pytest.raises(ValueError, match="v_plus"):
+            SqueezedState(True, True)
+        with pytest.raises(ValueError, match="angle"):
+            SqueezedState(2.0, 0.5, False)
 
     def test_pure_state_on_the_bound_is_accepted(self):
         state = SqueezedState(10.0, 0.1)
@@ -69,10 +76,17 @@ class TestLossChain:
     def test_unit_element_is_neutral(self):
         assert LossChain((("a", 1.0), ("b", 0.44))).total == pytest.approx(0.44, rel=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, math.nan, True])
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, math.nan, True])
     def test_rejects_out_of_range_efficiency(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'x'"):
             LossChain((("x", bad),))
+
+    def test_zero_element_is_allowed(self):
+        # the same [0, 1] rule as a bare efficiency: a blocking element gives vacuum
+        chain = LossChain((("a", 0.9), ("blocked", 0.0)))
+        assert chain.total == 0.0
+        assert propagate(10.3, chain, 0.037).detected_db == 0.0
+        assert propagate(10.3, chain, 0.037) == propagate(10.3, 0.0, 0.037)
 
     def test_from_total(self):
         chain = LossChain.from_total(0.44)
