@@ -27,7 +27,7 @@ from .budget import (
 )
 from .config import LOW_BAND, RunConfig, load_run_config
 from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
-from .interferometer import SqueezerSetup, quantum_noise_curve
+from .interferometer import ANGLE_POLICIES, quantum_noise_curve
 from .states import LossChain, PhaseNoise, propagate
 from .svgplot import write_loglog_svg
 
@@ -92,13 +92,8 @@ def main():
     help="Named power-transmission efficiency in [0, 1]; repeatable, efficiencies multiply.",
 )
 @click.option("--phase-mrad", type=float, default=0.0, show_default=True, help="RMS phase jitter [mrad].")
-@click.option(
-    "--exact-gaussian",
-    is_flag=True,
-    help="Average phase jitter over an exact Gaussian instead of substituting the RMS angle.",
-)
 @_lib_errors
-def propagate_cmd(inject_db, eta, loss_flags, phase_mrad, exact_gaussian):
+def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
     """Propagate a squeezed state through loss and phase jitter."""
     if eta is not None and loss_flags:
         raise click.UsageError("--eta and --loss are mutually exclusive")
@@ -112,14 +107,14 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad, exact_gaussian):
         losses = chain
         breakdown = [{"label": label, "efficiency": float(e)} for label, e in chain]
     noise = PhaseNoise(phase_mrad * 1e-3)
-    result = propagate(inject_db, losses, noise, exact_gaussian=exact_gaussian)
+    result = propagate(inject_db, losses, noise)
     _emit_json(
         {
             "inject_db": float(inject_db),
             "efficiency": float(result.efficiency),
             "loss_chain": breakdown,
             "phase_noise_mrad": float(phase_mrad),
-            "phase_noise_model": "gaussian-exact" if exact_gaussian else "rms-substitution",
+            "phase_noise_model": "rms-substitution",
             "variances": {
                 "injected": _state_dict(result.injected),
                 "after_loss": _state_dict(result.after_loss),
@@ -158,7 +153,10 @@ def fit_cmd(injected, detected, phase_mrad):
 @click.option("--eta-sigma", type=float, default=0.02, show_default=True)
 @click.option("--phase-mrad", type=float, default=37.0, show_default=True, help="RMS phase jitter [mrad].")
 @click.option("--phase-sigma-mrad", type=float, default=6.0, show_default=True)
-@click.option("--mc-samples", type=int, default=100_000, show_default=True)
+@click.option(
+    "--mc-samples", type=float, default=100_000, show_default=True, metavar="INTEGER",
+    help="Whole number of draws; 1e6 is accepted.",
+)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @_lib_errors
 def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phase_sigma_mrad, mc_samples, seed):
@@ -217,16 +215,16 @@ def _prefix_path(prefix: str) -> Path:
     return path
 
 
-def _build_budget(cfg: RunConfig, setup: SqueezerSetup, tables):
+def _budgets(cfg: RunConfig, policies) -> dict:
+    """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
     grid = cfg.grid.frequencies()
-    curve = quantum_noise_curve(cfg.interferometer, setup, grid)
-    components = [("quantum", curve.asd)]
-    components.extend((label, resample(table, grid)) for label, table in tables)
-    return compose(grid, components)
-
-
-def _load_tables(cfg: RunConfig):
-    return [(label, ingest_asd(path, label=label)) for label, path in cfg.components]
+    tables = [(label, resample(ingest_asd(p, label=label), grid)) for label, p in cfg.components]
+    budgets = {}
+    for policy in policies:
+        setup = dataclasses.replace(cfg.squeezer, angle_policy=policy)
+        curve = quantum_noise_curve(cfg.interferometer, setup, grid)
+        budgets[policy] = compose(grid, [("quantum", curve.asd)] + tables)
+    return budgets
 
 
 def _improvement_dict(imp) -> dict:
@@ -245,9 +243,8 @@ def _power_increase_or_none(value_db: float):
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
     cfg = load_run_config(config_path)
-    tables = _load_tables(cfg)
-    squeezed = _build_budget(cfg, cfg.squeezer, tables)
-    reference = _build_budget(cfg, dataclasses.replace(cfg.squeezer, angle_policy="none"), tables)
+    budgets = _budgets(cfg, dict.fromkeys([cfg.squeezer.angle_policy, "none"]))
+    squeezed, reference = budgets[cfg.squeezer.angle_policy], budgets["none"]
 
     imp = improvement_db(reference, squeezed, cfg.band)
     grid = squeezed.grid
@@ -311,7 +308,7 @@ def budget_cmd(config_path, prefix, with_svg):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option(
     "--mode",
-    type=click.Choice(["none", "fixed", "fd-optimal", "all"]),
+    type=click.Choice([*ANGLE_POLICIES, "all"]),
     default="all",
     show_default=True,
     help="Which squeeze-angle policy to project; 'all' emits the three of them.",
@@ -321,32 +318,29 @@ def budget_cmd(config_path, prefix, with_svg):
 def project_cmd(config_path, mode, prefix):
     """Project quantum-noise and total curves for squeeze-angle policies."""
     cfg = load_run_config(config_path)
-    tables = _load_tables(cfg)
-    grid = cfg.grid.frequencies()
-    modes = ["none", "fixed", "fd-optimal"] if mode == "all" else [mode]
+    budgets = _budgets(cfg, ANGLE_POLICIES if mode == "all" else [mode])
+    first = next(iter(budgets.values()))
+    grid = first.grid
 
     out = _prefix_path(prefix)
-    resampled = [(label, resample(table, grid)) for label, table in tables]
-    curves_for_svg = [(label, grid, values) for label, values in resampled]
+    curves_for_svg = [(label, grid, first.components[label]) for label, _ in cfg.components]
 
-    for policy in modes:
-        setup = dataclasses.replace(cfg.squeezer, angle_policy=policy)
-        curve = quantum_noise_curve(cfg.interferometer, setup, grid)
-        total = compose(grid, [("quantum", curve.asd)] + resampled)
+    for policy, budget in budgets.items():
+        quantum = budget.components["quantum"]
         write_asd_csv(
             Path(f"{out}-quantum-{policy}.csv"),
             grid,
-            curve.asd,
+            quantum,
             comments=[f"quantum noise, angle policy {policy} ({cfg.label})"],
         )
         write_asd_csv(
             Path(f"{out}-total-{policy}.csv"),
             grid,
-            total.total,
+            budget.total,
             comments=[f"total noise, angle policy {policy} ({cfg.label})"],
         )
-        curves_for_svg.append((f"quantum ({policy})", grid, curve.asd))
-        curves_for_svg.append((f"total ({policy})", grid, total.total))
+        curves_for_svg.append((f"quantum ({policy})", grid, quantum))
+        curves_for_svg.append((f"total ({policy})", grid, budget.total))
 
     write_loglog_svg(Path(f"{out}.svg"), curves_for_svg, title=cfg.label or "projection")
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .interferometer import InterferometerConfig, SqueezerSetup
-from .states import LossChain, PhaseNoise, as_float
+from .states import LossChain, PhaseNoise, as_float, as_whole_number
 
 __all__ = ["GridSpec", "RunConfig", "load_run_config", "DEFAULT_BAND", "LOW_BAND"]
 
@@ -42,9 +42,9 @@ class GridSpec:
             raise ValueError(f"f_min must be positive and finite, got {self.f_min!r}")
         if not (math.isfinite(as_float(self.f_max, "f_max")) and self.f_max > self.f_min):
             raise ValueError(f"f_max must exceed f_min, got {self.f_max!r}")
-        if int(self.points) != self.points or self.points < 2:
+        object.__setattr__(self, "points", as_whole_number(self.points, "points"))
+        if self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
 

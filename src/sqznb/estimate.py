@@ -8,13 +8,13 @@ the injection level that maximizes detected squeezing under phase jitter.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
-from .states import jitter_weight, loss_map, mix, readout_db, variances_from_db
+from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
+from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix, readout_db
+from .states import variances_from_db
 
 __all__ = [
     "MeasurementWithUncertainty",
@@ -90,7 +90,7 @@ def fit_efficiency(
     only when ``gain > 0``, and only up to the level at ``eta = 1``; outside
     that range InfeasibleTargetError states the range.
     """
-    inject_db = as_float(inject_db, "inject_db")
+    inject_db = as_inject_db(inject_db)
     target = as_float(detected_db, "detected level")
     if not (math.isfinite(target) and target >= 0.0):
         raise ValueError(f"detected level must be >= 0 dB, got {detected_db!r}")
@@ -134,17 +134,6 @@ class McUncertaintyResult:
     clamped: dict[str, int]
     samples: int
     seed: int
-
-
-def _whole_number(value, name: str) -> int:
-    """``value`` as a non-negative int; a bool, a fraction or a negative raises ValueError."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return int(value)
 
 
 def _clip_counted(m: MeasurementWithUncertainty, z, low, high, counts, name) -> np.ndarray:
@@ -191,17 +180,17 @@ def mc_uncertainty(
 
     Draws independent Gaussians per input, pushes each draw through the
     forward chain, and reports the sample mean and standard deviation of the
-    detected dB.  Draws outside the physical domain (negative injection,
-    efficiency outside [0, 1], jitter outside [0, pi/4)) are clamped to the
-    domain edge and counted.  The draws come in blocks of ``MC_BLOCK``: block
-    ``b`` is drawn from ``Philox(seed)`` jumped ``b`` times (a jump advances
-    the counter by 2**128), so results are reproducible for a fixed
-    (samples, seed), and memory is the 8-byte-per-sample result plus one
-    block.  ``samples`` and ``seed`` must be whole numbers >= 0, and
+    detected dB.  Draws outside the domain (injection outside
+    [0, MAX_INJECT_DB], efficiency outside [0, 1], jitter outside [0, pi/4))
+    are clamped to the domain edge and counted.  The draws come in blocks of
+    ``MC_BLOCK``: block ``b`` is drawn from ``Philox(seed)`` jumped ``b``
+    times (a jump advances the counter by 2**128), so results are
+    reproducible for a fixed (samples, seed), and memory is the
+    8-byte-per-sample result plus one block.  ``samples`` and ``seed`` must be whole numbers >= 0, and
     ``samples`` at least 1000.
     """
-    samples = _whole_number(samples, "samples")
-    seed = _whole_number(seed, "seed")
+    samples = as_whole_number(samples, "samples")
+    seed = as_whole_number(seed, "seed")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a meaningful spread, got {samples}")
     # the central values themselves must be valid inputs
@@ -213,7 +202,7 @@ def mc_uncertainty(
         stop = min(start + MC_BLOCK, samples)
         gen = np.random.Generator(np.random.Philox(seed).jumped(block))
         z = gen.standard_normal((3, stop - start))
-        inj = _clip_counted(inject_db, z[0], 0.0, None, clamped, "inject_db")
+        inj = _clip_counted(inject_db, z[0], 0.0, MAX_INJECT_DB, clamped, "inject_db")
         eff = _clip_counted(efficiency, z[1], 0.0, 1.0, clamped, "efficiency")
         theta = _clip_counted(phase_rms, z[2], 0.0, _THETA_MAX, clamped, "phase_rms")
         v_plus, v_minus = variances_from_db(inj)
@@ -254,8 +243,8 @@ def optimal_inject_db(
     form ``10 log10(cot(theta_rms))`` dB clamped to ``[0, max_db]``, and
     ``iterations`` is 0.  At ``eta = 0`` this is the ``eta -> 0+`` limit and
     the detected level is exactly 0.0 dB.  Zero jitter has no finite optimum
-    and raises NoFiniteOptimumError; a negative or non-finite ``max_db``
-    raises ValueError.
+    and raises NoFiniteOptimumError; a ``max_db`` outside
+    ``[0, MAX_INJECT_DB]`` raises ValueError.
     """
     noise = phase_noise if isinstance(phase_noise, PhaseNoise) else PhaseNoise(phase_noise)
     if noise.theta_rms == 0.0:
@@ -265,9 +254,6 @@ def optimal_inject_db(
         )
     eta = as_efficiency(efficiency)
 
-    ceiling = as_float(max_db, "max_db")
-    if not (math.isfinite(ceiling) and ceiling >= 0.0):
-        raise ValueError(f"max_db must be >= 0 and finite, got {max_db!r}")
-
+    ceiling = as_inject_db(max_db, "max_db")
     best = min(max(10.0 * math.log10(1.0 / math.tan(noise.theta_rms)), 0.0), ceiling)
     return OptimalInjection(best, propagate(best, eta, noise).detected_db, 0)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import NumericalRangeError, _freeze, _validated_curve
-from .states import LossChain, PhaseNoise, SqueezedState, as_float, mix, propagate
+from .states import LossChain, PhaseNoise, SqueezedState, as_float, as_inject_db, mix, propagate
 
 __all__ = [
     "ANGLE_POLICIES",
@@ -133,9 +133,7 @@ class SqueezerSetup:
     fixed_angle: float = math.pi / 2
 
     def __post_init__(self):
-        inject_db = as_float(self.inject_db, "inject_db")
-        if not (math.isfinite(inject_db) and inject_db >= 0.0):
-            raise ValueError(f"inject_db must be >= 0 and finite, got {self.inject_db!r}")
+        as_inject_db(self.inject_db)
         if not isinstance(self.chain, LossChain):
             raise ValueError("chain must be a LossChain")
         if not isinstance(self.phase_noise, PhaseNoise):

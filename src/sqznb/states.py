@@ -32,6 +32,9 @@ HEISENBERG_RTOL = 1e-12
 # the small-angle mixing model stops making sense.
 MAX_PHASE_RMS = math.pi / 4
 
+#: Largest accepted injection level in dB; 10**(s/10) overflows a float near 3082.5 dB.
+MAX_INJECT_DB = 3000.0
+
 
 def as_float(value, name: str) -> float:
     """``value`` as a float; a bool or a non-number raises ValueError naming ``name``."""
@@ -48,9 +51,28 @@ def as_efficiency(value, name: str = "efficiency") -> float:
     return eta
 
 
+def as_inject_db(value, name: str = "inject_db") -> float:
+    """``value`` as an injection level in [0, MAX_INJECT_DB] dB, else ValueError naming ``name``."""
+    level = as_float(value, name)
+    if not (math.isfinite(level) and 0.0 <= level <= MAX_INJECT_DB):
+        raise ValueError(f"{name} must be in [0, {MAX_INJECT_DB:g}] dB, got {value!r}")
+    return level
+
+
+def as_whole_number(value, name: str) -> int:
+    """``value`` as a non-negative int; a bool, a fraction or a negative raises ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return int(value)
+
+
 # The forward arithmetic, written once, on floats or numpy arrays and without
 # validation.  Floats go through math and arrays through numpy, whose log10 and
-# exp can differ from libm's in the last bit, so each keeps its own bits.
+# sin can differ from libm's in the last bit, so each keeps its own bits.
 
 
 def _lib(x):
@@ -71,10 +93,8 @@ def loss_map(v, eta):
     return eta * v + (1.0 - eta)
 
 
-def jitter_weight(theta_rms, exact_gaussian=False):
+def jitter_weight(theta_rms):
     """Share of the orthogonal quadrature that jitter mixes in; see apply_phase_noise."""
-    if exact_gaussian:
-        return 0.5 * (1.0 - _lib(theta_rms).exp(-2.0 * theta_rms**2))
     return _lib(theta_rms).sin(theta_rms) ** 2
 
 
@@ -192,10 +212,9 @@ def state_from_db(squeeze_db: float, angle: float = 0.0) -> SqueezedState:
 
     ``v_minus = 10**(-squeeze_db/10)`` and ``v_plus = 1/v_minus``, so the
     uncertainty product is exactly 1 up to rounding; 0 dB gives vacuum.
+    The level must lie in [0, MAX_INJECT_DB].
     """
-    squeeze_db = as_float(squeeze_db, "squeeze_db")
-    if not (math.isfinite(squeeze_db) and squeeze_db >= 0.0):
-        raise ValueError(f"squeeze_db must be >= 0 and finite, got {squeeze_db!r}")
+    squeeze_db = as_inject_db(squeeze_db, "squeeze_db")
     return SqueezedState(*variances_from_db(squeeze_db), angle)
 
 
@@ -210,25 +229,17 @@ def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta), state.angle)
 
 
-def apply_phase_noise(
-    state: SqueezedState,
-    noise: PhaseNoise | float,
-    *,
-    exact_gaussian: bool = False,
-) -> SqueezedState:
+def apply_phase_noise(state: SqueezedState, noise: PhaseNoise | float) -> SqueezedState:
     """Average the variances over jitter of the measured quadrature angle.
 
     Each output variance is a convex mix of the two inputs,
-    ``v_out = v * (1 - s2) + v_orth * s2``.  By default the RMS angle is
-    substituted directly, ``s2 = sin(theta_rms)**2``; with
-    ``exact_gaussian`` the mixing weight is the exact average over a
-    centered normal distribution of the angle,
-    ``s2 = (1 - exp(-2*theta_rms**2)) / 2``.  The two agree to fourth
-    order in the jitter.  The mix preserves v_plus + v_minus.
+    ``v_out = v * (1 - s2) + v_orth * s2``, with the RMS angle substituted
+    directly, ``s2 = sin(theta_rms)**2``.  The mix preserves
+    v_plus + v_minus.
     """
     if not isinstance(noise, PhaseNoise):
         noise = PhaseNoise(noise)
-    s2 = jitter_weight(noise.theta_rms, exact_gaussian)
+    s2 = jitter_weight(noise.theta_rms)
     return SqueezedState(
         mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2), state.angle
     )
@@ -260,7 +271,6 @@ def propagate(
     phase_noise: PhaseNoise | float | None = None,
     *,
     angle: float = 0.0,
-    exact_gaussian: bool = False,
 ) -> PropagationResult:
     """Run the full chain: construct from dB, attenuate, jitter, read out.
 
@@ -277,5 +287,5 @@ def propagate(
     injected = state_from_db(inject_db, angle)
     after_loss = apply_loss(injected, eta)
     noise = PhaseNoise() if phase_noise is None else phase_noise
-    final = apply_phase_noise(after_loss, noise, exact_gaussian=exact_gaussian)
+    final = apply_phase_noise(after_loss, noise)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

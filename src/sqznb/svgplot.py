@@ -94,7 +94,7 @@ def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_labe
 
     for i, (label, x, y) in enumerate(checked):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{px(float(xi)):.2f},{py(float(yi)):.2f}" for xi, yi in zip(x, y))
+        points = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x.tolist(), y.tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>'
         )

@@ -278,8 +278,10 @@ class TestGridSpec:
             (1.0, 10.0, 1),
             (True, 10.0, 5),  # bool is an int subclass; a flag is not a frequency
             (0.5, True, 5),
+            (1.0, 10.0, math.inf),
+            (1.0, 10.0, math.nan),
         ],
     )
     def test_rejects_bad_span(self, f_min, f_max, points):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="f_min|f_max|points"):
             GridSpec(f_min, f_max, points)

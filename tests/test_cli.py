@@ -4,6 +4,7 @@ and byte-level determinism of emitted artifacts."""
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -24,10 +25,15 @@ def validate(schema_dir, name, payload):
     jsonschema.validate(payload, schema)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def invoke_json(runner, args):
+    # strict JSON: NaN and Infinity are not numbers any consumer can read
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return json.loads(result.output, parse_constant=_reject_constant)
 
 
 def write_config(tmp_path, **overrides):
@@ -102,14 +108,6 @@ class TestPropagateCommand:
         )
         assert payload["detected_db"] == 0.0
 
-    def test_exact_gaussian_flag(self, runner):
-        payload = invoke_json(
-            runner,
-            ["propagate", "--inject-db", "10.3", "--eta", "0.44", "--phase-mrad", "37", "--exact-gaussian"],
-        )
-        assert payload["phase_noise_model"] == "gaussian-exact"
-        assert payload["detected_db"] == pytest.approx(2.1648, abs=0.001)
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -119,6 +117,8 @@ class TestPropagateCommand:
             ["propagate", "--inject-db", "10.3", "--eta", "1.5"],
             ["propagate", "--inject-db", "-3", "--eta", "0.5"],
             ["propagate", "--inject-db", "10.3", "--eta", "0.5", "--phase-mrad", "-2"],
+            ["propagate", "--inject-db", "4000", "--eta", "0.5"],
+            ["propagate", "--inject-db", "10.3", "--eta", "0.5", "--exact-gaussian"],
         ],
     )
     def test_usage_errors_exit_2(self, runner, args):
@@ -142,6 +142,11 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "attainable" in result.output
 
+    def test_injection_above_the_ceiling_exits_2(self, runner):
+        result = runner.invoke(main, ["fit", "--injected", "4000", "--detected", "2"])
+        assert result.exit_code == 2
+        assert "inject_db must be in [0, 3000] dB" in result.output
+
 
 class TestUncertaintyCommand:
     def test_defaults_reproduce_uncertainty_band(self, runner, schema_dir):
@@ -159,6 +164,28 @@ class TestUncertaintyCommand:
         result = runner.invoke(main, ["uncertainty", "--seed", "-1"])
         assert result.exit_code == 2
         assert "--seed" in result.output and "x>=0" in result.output
+
+    def test_sample_count_takes_whole_floats(self, runner):
+        as_int = runner.invoke(main, ["uncertainty", "--mc-samples", "2000"])
+        as_float = runner.invoke(main, ["uncertainty", "--mc-samples", "2e3"])
+        assert as_int.exit_code == 0, as_int.output
+        assert as_float.output == as_int.output
+        fraction = runner.invoke(main, ["uncertainty", "--mc-samples", "1500.5"])
+        assert fraction.exit_code == 2
+        assert "samples must be a whole number" in fraction.output
+
+    def test_injection_above_the_ceiling_exits_2(self, runner):
+        result = runner.invoke(main, ["uncertainty", "--inject-db", "4000"])
+        assert result.exit_code == 2
+        assert "must be in [0, 3000] dB" in result.output
+
+    def test_draws_at_the_ceiling_give_finite_json(self, runner, schema_dir):
+        args = ["uncertainty", "--inject-db", "3000", "--inject-sigma-db", "200", "--mc-samples", "1000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = invoke_json(runner, args)
+        validate(schema_dir, "uncertainty.schema.json", payload)
+        assert payload["clamped"]["inject_db"] > 0
 
 
 class TestOptimizeCommand:

@@ -188,6 +188,14 @@ class TestMcUncertainty:
         assert result.clamped["efficiency"] > 0
         assert math.isfinite(result.sigma_db)
 
+    def test_injection_draws_are_clamped_at_the_ceiling(self):
+        with np.errstate(all="raise"):
+            result = mc_uncertainty(
+                MeasurementWithUncertainty(3000.0, 200.0), H1_EFFICIENCY, H1_PHASE, samples=1000
+            )
+        assert result.clamped["inject_db"] > 0
+        assert math.isfinite(result.mean_db) and math.isfinite(result.sigma_db)
+
     def test_rejects_small_sample_count(self):
         with pytest.raises(ValueError, match="1000"):
             mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=10)
@@ -272,7 +280,7 @@ class TestOptimalInjectDb:
     def test_clamped_to_max_db(self):
         assert optimal_inject_db(1.0, PhaseNoise(0.035), max_db=10.0).inject_db == 10.0
 
-    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan, 4000.0])
     def test_rejects_bad_max_db(self, bad):
         with pytest.raises(ValueError, match="max_db"):
             optimal_inject_db(1.0, PhaseNoise(0.035), max_db=bad)

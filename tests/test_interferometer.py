@@ -92,6 +92,8 @@ class TestSqueezerSetup:
             SqueezerSetup(inject_db=-1.0)
         with pytest.raises(ValueError, match="inject_db"):
             SqueezerSetup(inject_db=True, angle_policy="fixed")
+        with pytest.raises(ValueError, match="inject_db"):
+            SqueezerSetup(inject_db=4000.0)
 
     def test_degraded_state_matches_chain(self):
         setup = fig3_setup()
