@@ -28,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .states import as_float
+
 __all__ = [
     "ASD_CSV_HEADER",
     "AsdFileError",
@@ -266,9 +268,8 @@ def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandI
     (the "up to" figure).  Both budgets must share the grid and the band
     must lie inside it.
     """
-    lo, hi = float(band[0]), float(band[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"band must be an increasing pair of frequencies, got {band!r}")
+    lo = as_float(band[0], "band[0]")
+    hi = as_float(band[1], "band[1]", gt=lo)
     if not np.array_equal(reference.grid, squeezed.grid):
         raise ValueError("budgets are on different frequency grids")
     g = reference.grid
@@ -294,7 +295,5 @@ def equivalent_power_increase(improvement_db: float) -> float:
     Shot-noise ASD scales as 1/sqrt(P), so an amplitude improvement of
     x dB is equivalent to multiplying the stored power by 10**(x/10).
     """
-    x = float(improvement_db)
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"improvement must be >= 0 dB, got {improvement_db!r}")
+    x = as_float(improvement_db, "improvement", ge=0.0, unit=" dB")
     return 10.0 ** (x / 10.0) - 1.0

@@ -38,10 +38,8 @@ class GridSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if not (math.isfinite(as_float(self.f_min, "f_min")) and self.f_min > 0.0):
-            raise ValueError(f"f_min must be positive and finite, got {self.f_min!r}")
-        if not (math.isfinite(as_float(self.f_max, "f_max")) and self.f_max > self.f_min):
-            raise ValueError(f"f_max must exceed f_min, got {self.f_max!r}")
+        f_min = as_float(self.f_min, "f_min", gt=0.0)
+        as_float(self.f_max, "f_max", gt=f_min)
         object.__setattr__(self, "points", as_whole_number(self.points, "points"))
         if self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
@@ -127,13 +125,10 @@ def _parse_squeezer(section: dict) -> SqueezerSetup:
 
 
 def _parse_grid(section: dict) -> GridSpec:
-    points = section.get("points")
-    if not isinstance(points, int) or isinstance(points, bool):
-        raise ValueError(f"grid.points must be an integer, got {points!r}")
     return GridSpec(
         f_min=_number(section, "f_min_hz", "grid"),
         f_max=_number(section, "f_max_hz", "grid"),
-        points=points,
+        points=as_whole_number(section.get("points"), "grid.points"),
         spacing=str(section.get("spacing", "log")),
     )
 
@@ -172,15 +167,10 @@ def load_run_config(path) -> RunConfig:
         components.append((label, str(file_path)))
 
     band_raw = raw.get("band_hz", list(DEFAULT_BAND))
-    if (
-        not isinstance(band_raw, list)
-        or len(band_raw) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in band_raw)
-    ):
+    if not isinstance(band_raw, list) or len(band_raw) != 2:
         raise ValueError(f"band_hz must be a [low, high] pair of numbers, got {band_raw!r}")
-    band = (float(band_raw[0]), float(band_raw[1]))
-    if not band[0] < band[1]:
-        raise ValueError(f"band_hz must be increasing, got {band_raw!r}")
+    low = as_float(band_raw[0], "band_hz[0]")
+    band = (low, as_float(band_raw[1], "band_hz[1]", gt=low))
     if band[0] < grid.f_min or band[1] > grid.f_max:
         raise ValueError(
             f"band_hz [{band[0]}, {band[1]}] lies outside the grid span "

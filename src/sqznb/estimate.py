@@ -56,10 +56,8 @@ class MeasurementWithUncertainty:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(as_float(self.value, "value")):
-            raise ValueError(f"value must be finite, got {self.value!r}")
-        if not (math.isfinite(as_float(self.sigma, "sigma")) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma!r}")
+        as_float(self.value, "value")
+        as_float(self.sigma, "sigma", ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,7 @@ def fit_efficiency(
     that range InfeasibleTargetError states the range.
     """
     inject_db = as_inject_db(inject_db)
-    target = as_float(detected_db, "detected level")
-    if not (math.isfinite(target) and target >= 0.0):
-        raise ValueError(f"detected level must be >= 0 dB, got {detected_db!r}")
+    target = as_float(detected_db, "detected level", ge=0.0, unit=" dB")
     if target > inject_db + _RANGE_SLACK_DB:
         raise ValueError(
             f"detected level {target} dB exceeds the injected level {inject_db} dB"

@@ -79,9 +79,7 @@ class InterferometerConfig:
 
     def __post_init__(self):
         for name in ("arm_length", "mirror_mass", "arm_power", "cavity_pole", "wavelength"):
-            value = getattr(self, name)
-            if not (math.isfinite(as_float(value, name)) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            as_float(getattr(self, name), name, gt=0.0)
 
     @classmethod
     def from_finesse(
@@ -98,9 +96,8 @@ class InterferometerConfig:
         pole = c / (4 F L); equivalently the angular half-bandwidth is
         g = pi c / (2 F L).
         """
-        if not (math.isfinite(as_float(finesse, "finesse")) and finesse > 0):
-            raise ValueError(f"finesse must be positive and finite, got {finesse!r}")
-        pole = c / (4.0 * finesse * arm_length)
+        length = as_float(arm_length, "arm_length", gt=0.0)
+        pole = c / (4.0 * as_float(finesse, "finesse", gt=0.0) * length)
         return cls(arm_length, mirror_mass, arm_power, pole, wavelength, label)
 
     @property
@@ -144,9 +141,7 @@ class SqueezerSetup:
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {self.angle_policy!r}"
             )
         object.__setattr__(self, "angle_policy", policy)
-        angle = as_float(self.fixed_angle, "fixed_angle")
-        if not (math.isfinite(angle) and 0.0 <= angle < math.pi):
-            raise ValueError(f"fixed_angle must be in [0, pi), got {self.fixed_angle!r}")
+        as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
 
     @property
     def efficiency(self) -> float:

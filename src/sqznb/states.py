@@ -36,27 +36,48 @@ MAX_PHASE_RMS = math.pi / 4
 MAX_INJECT_DB = 3000.0
 
 
-def as_float(value, name: str) -> float:
-    """``value`` as a float; a bool or a non-number raises ValueError naming ``name``."""
+def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str = "") -> float:
+    """``value`` as a finite float in an interval, else ValueError naming ``name``.
+
+    ``ge``/``gt`` give a closed/open lower end and ``le``/``lt`` a closed/open
+    upper end; an end left as None is unbounded.  A bool or a non-number is
+    rejected.  ``unit`` follows the interval in the message.
+    """
     if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
+        x = float(value)
+        if (
+            math.isfinite(x)
+            and (ge is None or x >= ge)
+            and (gt is None or x > gt)
+            and (le is None or x <= le)
+            and (lt is None or x < lt)
+        ):
+            return x
+        raise ValueError(f"{name} must be {_interval(ge, gt, le, lt, unit)}, got {value!r}")
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _interval(ge, gt, le, lt, unit: str) -> str:
+    """The interval of as_float in words: 'in [0, 1]', '>= 0 dB and finite', 'finite'."""
+    low, high = (ge if gt is None else gt), (le if lt is None else lt)
+    if low is not None and high is not None:
+        left, right = ("[" if gt is None else "("), ("]" if lt is None else ")")
+        return f"in {left}{low:.16g}, {high:.16g}{right}{unit}"
+    if low is not None:
+        return f"{'>=' if gt is None else '>'} {low:.16g}{unit} and finite"
+    if high is not None:
+        return f"{'<=' if lt is None else '<'} {high:.16g}{unit} and finite"
+    return "finite"
 
 
 def as_efficiency(value, name: str = "efficiency") -> float:
     """``value`` as a power efficiency: a finite number in [0, 1], else ValueError naming ``name``."""
-    eta = as_float(value, name)
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return eta
+    return as_float(value, name, ge=0.0, le=1.0)
 
 
 def as_inject_db(value, name: str = "inject_db") -> float:
     """``value`` as an injection level in [0, MAX_INJECT_DB] dB, else ValueError naming ``name``."""
-    level = as_float(value, name)
-    if not (math.isfinite(level) and 0.0 <= level <= MAX_INJECT_DB):
-        raise ValueError(f"{name} must be in [0, {MAX_INJECT_DB:g}] dB, got {value!r}")
-    return level
+    return as_float(value, name, ge=0.0, le=MAX_INJECT_DB, unit=" dB")
 
 
 def as_whole_number(value, name: str) -> int:
@@ -130,10 +151,8 @@ class SqueezedState:
     angle: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(as_float(self.v_plus, "v_plus")) and self.v_plus > 0.0):
-            raise ValueError(f"v_plus must be positive and finite, got {self.v_plus!r}")
-        if not (math.isfinite(as_float(self.v_minus, "v_minus")) and self.v_minus > 0.0):
-            raise ValueError(f"v_minus must be positive and finite, got {self.v_minus!r}")
+        as_float(self.v_plus, "v_plus", gt=0.0)
+        as_float(self.v_minus, "v_minus", gt=0.0)
         if self.v_plus < self.v_minus:
             raise ValueError(
                 "variance labels are swapped: "
@@ -144,8 +163,7 @@ class SqueezedState:
             raise ValueError(
                 f"unphysical state: v_plus*v_minus = {product!r} is below the Heisenberg bound"
             )
-        if not math.isfinite(as_float(self.angle, "angle")):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
+        as_float(self.angle, "angle")
 
     @property
     def uncertainty_product(self) -> float:
@@ -167,13 +185,8 @@ class PhaseNoise:
     theta_rms: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_rms", as_float(self.theta_rms, "theta_rms"))
-        if not (math.isfinite(self.theta_rms) and self.theta_rms >= 0.0):
-            raise ValueError(f"theta_rms must be >= 0 and finite, got {self.theta_rms!r}")
-        if self.theta_rms >= MAX_PHASE_RMS:
-            raise ValueError(
-                f"theta_rms = {self.theta_rms!r} rad is outside the small-angle regime (< pi/4)"
-            )
+        theta = as_float(self.theta_rms, "theta_rms", ge=0.0, lt=MAX_PHASE_RMS, unit=" rad")
+        object.__setattr__(self, "theta_rms", theta)
 
 
 @dataclass(frozen=True)
@@ -277,15 +290,18 @@ def propagate(
     Parameters
     ----------
     inject_db : float
-        Squeezing level of the pure state entering the chain.
+        Squeezing level of the pure state entering the chain, in
+        [0, MAX_INJECT_DB] dB.
     losses : LossChain or float
         Either a named loss chain or a bare total efficiency in [0, 1].
     phase_noise : PhaseNoise or float, optional
         RMS quadrature-angle jitter; None means no jitter.
     """
-    eta = losses.total if isinstance(losses, LossChain) else as_float(losses, "efficiency")
-    injected = state_from_db(inject_db, angle)
-    after_loss = apply_loss(injected, eta)
+    injected = SqueezedState(*variances_from_db(as_inject_db(inject_db)), angle)
+    eta = as_efficiency(losses.total if isinstance(losses, LossChain) else losses)
+    after_loss = SqueezedState(
+        loss_map(injected.v_plus, eta), loss_map(injected.v_minus, eta), angle
+    )
     noise = PhaseNoise() if phase_noise is None else phase_noise
     final = apply_phase_noise(after_loss, noise)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

@@ -209,6 +209,14 @@ class TestImprovement:
         with pytest.raises(ValueError, match="grids"):
             improvement_db(ref, other, (100.0, 1000.0))
 
+    @pytest.mark.parametrize(
+        "band", [("100", "1000"), (100.0, "1000"), (True, 1000.0), (100.0, True)]
+    )
+    def test_band_edges_must_be_numbers(self, band):
+        ref, sqz = self.budget_pair(1.0)
+        with pytest.raises(ValueError, match=r"band\[[01]\] must be a number"):
+            improvement_db(ref, sqz, band)
+
 
 class TestInterModuleConsistency:
     """Budget-level improvement agrees with the state-level detected dB."""
@@ -260,6 +268,12 @@ class TestEquivalentPowerIncrease:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             equivalent_power_increase(-0.1)
+
+    @pytest.mark.parametrize("bad", [True, False, "3", None])
+    def test_rejects_non_numbers(self, bad):
+        # bool is an int subclass and float("3") parses; neither is a level in dB
+        with pytest.raises(ValueError, match="improvement must be a number"):
+            equivalent_power_increase(bad)
 
     def test_exact_form_and_monotonicity(self):
         xs = np.linspace(0.0, 10.0, 40)

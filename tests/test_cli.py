@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqznb import ingest_asd
+from sqznb import ingest_asd, load_run_config
 from sqznb.cli import main
 
 
@@ -125,6 +125,11 @@ class TestPropagateCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
 
+    def test_injection_above_the_ceiling_names_inject_db(self, runner):
+        result = runner.invoke(main, ["propagate", "--inject-db", "4000", "--eta", "0.5"])
+        assert result.exit_code == 2
+        assert "inject_db must be in [0, 3000] dB" in result.output
+
 
 class TestFitCommand:
     def test_h1_inverse(self, runner, schema_dir):
@@ -178,6 +183,11 @@ class TestUncertaintyCommand:
         result = runner.invoke(main, ["uncertainty", "--inject-db", "4000"])
         assert result.exit_code == 2
         assert "must be in [0, 3000] dB" in result.output
+
+    def test_injection_above_the_ceiling_names_inject_db(self, runner):
+        result = runner.invoke(main, ["uncertainty", "--inject-db", "4000"])
+        assert result.exit_code == 2
+        assert "inject_db must be in [0, 3000] dB" in result.output
 
     def test_draws_at_the_ceiling_give_finite_json(self, runner, schema_dir):
         args = ["uncertainty", "--inject-db", "3000", "--inject-sigma-db", "200", "--mc-samples", "1000"]
@@ -320,6 +330,43 @@ class TestBudgetCommand:
         cfg = write_config(tmp_path, **overrides)
         result = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "bad")])
         assert result.exit_code == 2
+
+    def test_whole_float_point_count_writes_the_same_files(self, runner, configs_dir, tmp_path):
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        blobs = []
+        for points in (1000, 1000.0):
+            cfg["grid"]["points"] = points
+            run_dir = tmp_path / repr(points)
+            run_dir.mkdir()
+            path = run_dir / "h1.json"
+            path.write_text(json.dumps(cfg))
+            result = runner.invoke(main, ["budget", str(path), "--out", str(run_dir / "run"), "--svg"])
+            assert result.exit_code == 0, result.output
+            blobs.append({p.name: p.read_bytes() for p in run_dir.iterdir() if p != path})
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0]) == 5
+
+    def test_jitter_past_pi_over_4_fails_schema_and_loader(self, configs_dir, schema_dir, tmp_path):
+        # pi/4 rad is 785.398 mrad: 785 passes both checks, 786 fails both
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["squeezer"]["phase_noise_mrad"] = 785.0
+        validate(schema_dir, "runconfig.schema.json", cfg)
+        cfg["squeezer"]["phase_noise_mrad"] = 786.0
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(jsonschema.ValidationError, match="785.398"):
+            validate(schema_dir, "runconfig.schema.json", cfg)
+        with pytest.raises(ValueError, match="theta_rms"):
+            load_run_config(path)
+
+    def test_zero_arm_length_with_finesse_exits_2(self, runner, configs_dir, tmp_path):
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["interferometer"]["arm_length_m"] = 0.0
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "bad")])
+        assert result.exit_code == 2
+        assert "arm_length must be > 0" in result.output
 
     def test_rejects_pole_and_finesse_together(self, runner, tmp_path):
         cfg = write_config(

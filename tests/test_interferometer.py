@@ -63,6 +63,12 @@ class TestInterferometerConfig:
         with pytest.raises(ValueError, match="finesse"):
             InterferometerConfig.from_finesse(4000.0, 10.7, 1e4, finesse=True)
 
+    @pytest.mark.parametrize("bad", [0.0, "4000"])
+    def test_from_finesse_rejects_bad_arm_length(self, bad):
+        # the pole divides by the arm length, so it is checked before the division
+        with pytest.raises(ValueError, match="arm_length"):
+            InterferometerConfig.from_finesse(bad, 10.7, 1e4, finesse=204.0)
+
     def test_pole_from_finesse(self):
         cfg = InterferometerConfig.from_finesse(
             arm_length=4000.0, mirror_mass=10.7, arm_power=40e3, finesse=204.0
