@@ -28,7 +28,7 @@ from .budget import (
 from .config import LOW_BAND, RunConfig, load_run_config
 from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
 from .interferometer import ANGLE_POLICIES, quantum_noise_curve
-from .states import LossChain, PhaseNoise, propagate
+from .states import LossChain, PhaseNoise, detected_db, propagate
 from .svgplot import write_loglog_svg
 
 
@@ -255,9 +255,7 @@ def budget_cmd(config_path, prefix, with_svg):
     if cfg.squeezer.angle_policy == "none":
         detected = 0.0
     else:
-        detected = propagate(
-            cfg.squeezer.inject_db, cfg.squeezer.chain, cfg.squeezer.phase_noise
-        ).detected_db
+        detected = detected_db(cfg.squeezer.degraded_state())
 
     out = _prefix_path(prefix)
     files = {}

@@ -178,12 +178,13 @@ def mc_uncertainty(
     forward chain, and reports the sample mean and standard deviation of the
     detected dB.  Draws outside the domain (injection outside
     [0, MAX_INJECT_DB], efficiency outside [0, 1], jitter outside [0, pi/4))
-    are clamped to the domain edge and counted.  The draws come in blocks of
-    ``MC_BLOCK``: block ``b`` is drawn from ``Philox(seed)`` jumped ``b``
-    times (a jump advances the counter by 2**128), so results are
-    reproducible for a fixed (samples, seed), and memory is the
-    8-byte-per-sample result plus one block.  ``samples`` and ``seed`` must be whole numbers >= 0, and
-    ``samples`` at least 1000.
+    are clamped to the domain edge and counted; each sigma may be at most the
+    width of its input's domain (MAX_INJECT_DB dB, 1, MAX_PHASE_RMS rad).
+    The draws come in blocks of ``MC_BLOCK``: block ``b`` is drawn from
+    ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
+    2**128), so results are reproducible for a fixed (samples, seed), and
+    memory is the 8-byte-per-sample result plus one block.  ``samples`` and
+    ``seed`` must be whole numbers >= 0, and ``samples`` at least 1000.
     """
     samples = as_whole_number(samples, "samples")
     seed = as_whole_number(seed, "seed")
@@ -191,6 +192,9 @@ def mc_uncertainty(
         raise ValueError(f"need at least 1000 samples for a meaningful spread, got {samples}")
     # the central values themselves must be valid inputs
     propagate(inject_db.value, efficiency.value, PhaseNoise(phase_rms.value))
+    as_float(inject_db.sigma, "inject_db sigma", ge=0.0, le=MAX_INJECT_DB, unit=" dB")
+    as_float(efficiency.sigma, "efficiency sigma", ge=0.0, le=1.0)
+    as_float(phase_rms.sigma, "phase_rms sigma", ge=0.0, le=MAX_PHASE_RMS, unit=" rad")
 
     detected = np.empty(samples)
     clamped = {"inject_db": 0, "efficiency": 0, "phase_rms": 0}

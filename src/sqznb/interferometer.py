@@ -149,7 +149,7 @@ class SqueezerSetup:
 
     def degraded_state(self) -> SqueezedState:
         """Squeezed state at the readout, after loss and phase jitter."""
-        return propagate(self.inject_db, self.chain, self.phase_noise, angle=self.fixed_angle).state
+        return propagate(self.inject_db, self.chain, self.phase_noise).state
 
 
 def _angular(frequency) -> np.ndarray:
@@ -192,7 +192,8 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
 
     With ``angle_policy == "none"`` this is the coherent-vacuum budget
     sqrt(h_sql^2/2 (K + 1/K)); squeezed policies scale the underlying PSD
-    by the ellipse variance projected on the readout noise quadrature.
+    by the ellipse variance projected on the readout noise quadrature, with
+    the minor axis at ``setup.fixed_angle`` under ``"fixed"``.
     """
     omega = _angular(frequency)
     kappa = _kappa(config, omega)
@@ -207,7 +208,7 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
             # minor axis tracks the noise quadrature: projection is v_minus
             variance = state.v_minus
         else:
-            relative = np.arctan2(1.0, -kappa) - state.angle
+            relative = np.arctan2(1.0, -kappa) - setup.fixed_angle
             variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
 
     out = np.sqrt(vacuum_psd * variance)

@@ -140,15 +140,13 @@ class SqueezedState:
         Variance of the elongated (antisqueezed) quadrature, vacuum = 1.
     v_minus : float
         Variance of the squeezed quadrature, vacuum = 1.
-    angle : float
-        Orientation of the minor (squeezed) axis relative to the measured
-        in-phase quadrature, radians.  Carried along unchanged by loss and
-        phase-jitter maps; consumed by the interferometer projection.
+
+    Loss and jitter never rotate the ellipse, so its orientation is not part
+    of the state; the projection reads ``SqueezerSetup.fixed_angle``.
     """
 
     v_plus: float
     v_minus: float
-    angle: float = 0.0
 
     def __post_init__(self):
         as_float(self.v_plus, "v_plus", gt=0.0)
@@ -163,7 +161,6 @@ class SqueezedState:
             raise ValueError(
                 f"unphysical state: v_plus*v_minus = {product!r} is below the Heisenberg bound"
             )
-        as_float(self.angle, "angle")
 
     @property
     def uncertainty_product(self) -> float:
@@ -208,8 +205,9 @@ class LossChain:
         object.__setattr__(self, "elements", normalized)
 
     @classmethod
-    def from_total(cls, efficiency: float, label: str = "total") -> "LossChain":
-        return cls(((label, efficiency),))
+    def from_total(cls, efficiency: float) -> "LossChain":
+        """One-element chain labelled ``"total"``."""
+        return cls((("total", efficiency),))
 
     @property
     def total(self) -> float:
@@ -220,7 +218,7 @@ class LossChain:
         return iter(self.elements)
 
 
-def state_from_db(squeeze_db: float, angle: float = 0.0) -> SqueezedState:
+def state_from_db(squeeze_db: float) -> SqueezedState:
     """Pure squeezed state with the given squeezing level in dB.
 
     ``v_minus = 10**(-squeeze_db/10)`` and ``v_plus = 1/v_minus``, so the
@@ -228,18 +226,18 @@ def state_from_db(squeeze_db: float, angle: float = 0.0) -> SqueezedState:
     The level must lie in [0, MAX_INJECT_DB].
     """
     squeeze_db = as_inject_db(squeeze_db, "squeeze_db")
-    return SqueezedState(*variances_from_db(squeeze_db), angle)
+    return SqueezedState(*variances_from_db(squeeze_db))
 
 
 def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     """Mix the state with vacuum: each variance maps to eta*v + (1 - eta).
 
     ``efficiency`` is the surviving power fraction in [0, 1]; 1 leaves the
-    state unchanged and 0 replaces it with vacuum.  The squeeze angle is
-    unaffected (loss is quadrature-symmetric).
+    state unchanged and 0 replaces it with vacuum.  Loss is
+    quadrature-symmetric, so it rotates nothing.
     """
     eta = as_efficiency(efficiency)
-    return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta), state.angle)
+    return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta))
 
 
 def apply_phase_noise(state: SqueezedState, noise: PhaseNoise | float) -> SqueezedState:
@@ -253,9 +251,7 @@ def apply_phase_noise(state: SqueezedState, noise: PhaseNoise | float) -> Squeez
     if not isinstance(noise, PhaseNoise):
         noise = PhaseNoise(noise)
     s2 = jitter_weight(noise.theta_rms)
-    return SqueezedState(
-        mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2), state.angle
-    )
+    return SqueezedState(mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2))
 
 
 def detected_db(state: SqueezedState) -> float:
@@ -282,8 +278,6 @@ def propagate(
     inject_db: float,
     losses: LossChain | float,
     phase_noise: PhaseNoise | float | None = None,
-    *,
-    angle: float = 0.0,
 ) -> PropagationResult:
     """Run the full chain: construct from dB, attenuate, jitter, read out.
 
@@ -296,12 +290,12 @@ def propagate(
         Either a named loss chain or a bare total efficiency in [0, 1].
     phase_noise : PhaseNoise or float, optional
         RMS quadrature-angle jitter; None means no jitter.
+
+    The orientation of the ellipse plays no part; see SqueezedState.
     """
-    injected = SqueezedState(*variances_from_db(as_inject_db(inject_db)), angle)
+    injected = SqueezedState(*variances_from_db(as_inject_db(inject_db)))
     eta = as_efficiency(losses.total if isinstance(losses, LossChain) else losses)
-    after_loss = SqueezedState(
-        loss_map(injected.v_plus, eta), loss_map(injected.v_minus, eta), angle
-    )
+    after_loss = SqueezedState(loss_map(injected.v_plus, eta), loss_map(injected.v_minus, eta))
     noise = PhaseNoise() if phase_noise is None else phase_noise
     final = apply_phase_noise(after_loss, noise)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

@@ -31,8 +31,8 @@ def _decade_ceil(x: float) -> int:
     return int(math.ceil(math.log10(x)))
 
 
-def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_label="ASD [1/√Hz]"):
-    """Write a log-log line plot; ``curves`` is a list of (label, x, y).
+def write_loglog_svg(path, curves, *, title=""):
+    """Write a log-log ASD-against-frequency plot; ``curves`` is a list of (label, x, y).
 
     Each curve must pass the package's frequency-curve check.
     """
@@ -120,11 +120,11 @@ def write_loglog_svg(path, curves, *, title="", x_label="frequency [Hz]", y_labe
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:g}" y="{HEIGHT - 16}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(x_label)}</text>'
+        'text-anchor="middle" font-family="sans-serif">frequency [Hz]</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:g}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">{escape(y_label)}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">ASD [1/√Hz]</text>'
     )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

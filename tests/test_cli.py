@@ -2,6 +2,8 @@
 and byte-level determinism of emitted artifacts."""
 
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqznb import ingest_asd, load_run_config
+from sqznb import ingest_asd, load_run_config, quantum_noise_curve
 from sqznb.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -197,6 +201,37 @@ class TestUncertaintyCommand:
         validate(schema_dir, "uncertainty.schema.json", payload)
         assert payload["clamped"]["inject_db"] > 0
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--inject-sigma-db", "inject_db sigma"),
+            ("--eta-sigma", "efficiency sigma"),
+            ("--phase-sigma-mrad", "phase_rms sigma"),
+        ],
+    )
+    def test_sigma_wider_than_its_domain_exits_2(self, runner, flag, name):
+        result = runner.invoke(main, ["uncertainty", flag, "1e308", "--mc-samples", "1000"])
+        assert result.exit_code == 2
+        assert f"{name} must be in [0, " in result.output
+
+    @pytest.mark.parametrize(
+        "inject, eta, phase",
+        [("10.3", "0.44", "37"), ("3000", "1", "0"), ("0", "0", "785.3981633974481"), ("3000", "0.5", "1e-150")],
+    )
+    def test_every_sigma_at_its_bound_gives_strict_json(self, runner, schema_dir, inject, eta, phase):
+        args = [
+            "uncertainty", "--inject-db", inject, "--eta", eta, "--phase-mrad", phase,
+            "--inject-sigma-db", "3000", "--eta-sigma", "1", "--phase-sigma-mrad", "785.3981633974482",
+            "--mc-samples", "1000",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = invoke_json(runner, args)
+        validate(schema_dir, "uncertainty.schema.json", payload)
+        payload["inputs"]["phase_noise_mrad"]["sigma"] = 785.3981633974483
+        with pytest.raises(jsonschema.ValidationError, match="785.398"):
+            validate(schema_dir, "uncertainty.schema.json", payload)
+
 
 class TestOptimizeCommand:
     def test_lossless_35_mrad(self, runner, schema_dir):
@@ -359,6 +394,27 @@ class TestBudgetCommand:
         with pytest.raises(ValueError, match="theta_rms"):
             load_run_config(path)
 
+    def test_jitter_at_the_last_float_below_pi_over_4(self, runner, configs_dir, schema_dir, tmp_path):
+        # 785.3981633974482 * 1e-3 is exactly pi/4, the excluded end; the float below passes
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        path = tmp_path / "h1.json"
+        for mrad, ok in ((785.3981633974481, True), (785.3981633974482, False)):
+            cfg["squeezer"]["phase_noise_mrad"] = mrad
+            path.write_text(json.dumps(cfg))
+            args = ["propagate", "--inject-db", "10.3", "--eta", "0.44", "--phase-mrad", repr(mrad)]
+            if ok:
+                validate(schema_dir, "runconfig.schema.json", cfg)
+                load_run_config(path)
+                validate(schema_dir, "propagate.schema.json", invoke_json(runner, args))
+            else:
+                with pytest.raises(jsonschema.ValidationError):
+                    validate(schema_dir, "runconfig.schema.json", cfg)
+                with pytest.raises(ValueError, match="theta_rms"):
+                    load_run_config(path)
+                result = runner.invoke(main, args)
+                assert result.exit_code == 2
+                assert "theta_rms must be in [0, 0.7853981633974483) rad" in result.output
+
     def test_zero_arm_length_with_finesse_exits_2(self, runner, configs_dir, tmp_path):
         cfg = json.loads((configs_dir / "h1.json").read_text())
         cfg["interferometer"]["arm_length_m"] = 0.0
@@ -414,6 +470,23 @@ class TestProjectCommand:
         assert (tmp_path / "only-quantum-none.csv").is_file()
         assert not (tmp_path / "only-quantum-fixed.csv").exists()
 
+    def test_fixed_angle_from_the_config_reaches_the_projection(self, runner, configs_dir, tmp_path):
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["squeezer"]["fixed_angle_rad"] = 1.2
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        for config, prefix in ((path, "turned"), (configs_dir / "h1.json", "default")):
+            args = ["project", str(config), "--mode", "fixed", "--out", str(tmp_path / prefix)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        run = load_run_config(path)
+        assert run.squeezer.fixed_angle == 1.2
+        expected = quantum_noise_curve(run.interferometer, run.squeezer, run.grid.frequencies())
+        written = ingest_asd(tmp_path / "turned-quantum-fixed.csv")
+        assert np.array_equal(written.frequencies, expected.frequencies)
+        assert np.array_equal(written.asd, expected.asd)
+        assert not np.array_equal(written.asd, ingest_asd(tmp_path / "default-quantum-fixed.csv").asd)
+
 
 class TestDeterminism:
     def test_budget_outputs_are_byte_identical(self, runner, configs_dir, tmp_path):
@@ -467,3 +540,32 @@ def test_cli_import_loads_neither_scipy_nor_threads():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _readme_commands() -> list[list[str]]:
+    """Arguments of each ``sqznb ...`` line in README's CLI block, continuations joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sqznb ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {args[0] for args in README_COMMANDS} == set(main.commands)
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_example_runs(runner, schema_dir, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(ROOT)  # the README's config paths are relative to the repository root
+    args = list(args)
+    if "--out" in args:
+        at = args.index("--out") + 1
+        args[at] = str(tmp_path / args[at])
+    if args[0] in ("propagate", "fit", "uncertainty", "optimize"):
+        validate(schema_dir, f"{args[0]}.schema.json", invoke_json(runner, args))
+    else:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output

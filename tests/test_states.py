@@ -43,11 +43,9 @@ class TestSqueezedState:
             SqueezedState(2.0, bad)
 
     def test_rejects_booleans(self):
-        # bool is an int subclass; a flag is not a variance or an angle
+        # bool is an int subclass; a flag is not a variance
         with pytest.raises(ValueError, match="v_plus"):
             SqueezedState(True, True)
-        with pytest.raises(ValueError, match="angle"):
-            SqueezedState(2.0, 0.5, False)
 
     def test_pure_state_on_the_bound_is_accepted(self):
         state = SqueezedState(10.0, 0.1)
@@ -113,9 +111,6 @@ class TestStateFromDb:
             state = state_from_db(db)
             assert state.uncertainty_product == pytest.approx(1.0, rel=1e-12)
 
-    def test_angle_is_carried(self):
-        assert state_from_db(6.0, angle=0.7).angle == 0.7
-
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             state_from_db(-0.1)
@@ -146,7 +141,7 @@ class TestApplyLoss:
         assert state.v_minus == pytest.approx(0.6010631892350676, rel=1e-12)
 
     def test_unit_efficiency_is_identity(self):
-        state = state_from_db(7.7, angle=0.3)
+        state = state_from_db(7.7)
         assert apply_loss(state, 1.0) == state
 
     def test_zero_efficiency_gives_vacuum(self):
