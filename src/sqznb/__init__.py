@@ -4,102 +4,83 @@ Propagates squeezed-vacuum quadrature variances through optical loss and
 phase jitter, models the quantum noise of Fabry-Perot Michelson
 interferometers with squeezed input, composes strain noise budgets, and
 solves the associated inverse and uncertainty problems.
+
+The public names load on first use (PEP 562), so ``import sqznb`` and the
+scalar commands never import numpy; ``sqznb.X`` is the object that the
+submodule defining ``X`` holds.
 """
 
-from .budget import (
-    ASD_CSV_HEADER,
-    AsdFileError,
-    BandImprovement,
-    NoiseBudget,
-    NumericalRangeError,
-    TabulatedASD,
-    compose,
-    equivalent_power_increase,
-    improvement_db,
-    ingest_asd,
-    resample,
-    write_asd_csv,
-)
-from .config import DEFAULT_BAND, LOW_BAND, GridSpec, RunConfig, load_run_config
-from .estimate import (
-    FitResult,
-    InfeasibleTargetError,
-    McUncertaintyResult,
-    MeasurementWithUncertainty,
-    NoFiniteOptimumError,
-    OptimalInjection,
-    fit_efficiency,
-    mc_uncertainty,
-    optimal_inject_db,
-)
-from .interferometer import (
-    ANGLE_POLICIES,
-    InterferometerConfig,
-    QuantumNoiseCurve,
-    SqueezerSetup,
-    coupling_kappa,
-    quantum_noise_asd,
-    quantum_noise_curve,
-    sql_asd,
-)
-from .states import (
-    VACUUM,
-    LossChain,
-    PhaseNoise,
-    PropagationResult,
-    SqueezedState,
-    apply_loss,
-    apply_phase_noise,
-    detected_db,
-    propagate,
-    state_from_db,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANGLE_POLICIES",
-    "ASD_CSV_HEADER",
-    "AsdFileError",
-    "BandImprovement",
-    "DEFAULT_BAND",
-    "FitResult",
-    "GridSpec",
-    "InfeasibleTargetError",
-    "InterferometerConfig",
-    "LOW_BAND",
-    "LossChain",
-    "McUncertaintyResult",
-    "MeasurementWithUncertainty",
-    "NoFiniteOptimumError",
-    "NoiseBudget",
-    "NumericalRangeError",
-    "OptimalInjection",
-    "PhaseNoise",
-    "PropagationResult",
-    "QuantumNoiseCurve",
-    "RunConfig",
-    "SqueezedState",
-    "SqueezerSetup",
-    "TabulatedASD",
-    "VACUUM",
-    "apply_loss",
-    "apply_phase_noise",
-    "compose",
-    "coupling_kappa",
-    "detected_db",
-    "equivalent_power_increase",
-    "fit_efficiency",
-    "improvement_db",
-    "ingest_asd",
-    "load_run_config",
-    "mc_uncertainty",
-    "optimal_inject_db",
-    "propagate",
-    "quantum_noise_asd",
-    "quantum_noise_curve",
-    "resample",
-    "sql_asd",
-    "state_from_db",
-    "write_asd_csv",
-]
+#: Submodule -> the public names it provides.
+_PROVIDERS = {
+    "budget": (
+        "ASD_CSV_HEADER",
+        "AsdFileError",
+        "BandImprovement",
+        "NoiseBudget",
+        "TabulatedASD",
+        "compose",
+        "equivalent_power_increase",
+        "improvement_db",
+        "ingest_asd",
+        "resample",
+        "write_asd_csv",
+    ),
+    "config": ("DEFAULT_BAND", "LOW_BAND", "GridSpec", "RunConfig", "load_run_config"),
+    "estimate": (
+        "FitResult",
+        "InfeasibleTargetError",
+        "McUncertaintyResult",
+        "MeasurementWithUncertainty",
+        "NoFiniteOptimumError",
+        "OptimalInjection",
+        "fit_efficiency",
+        "mc_uncertainty",
+        "optimal_inject_db",
+    ),
+    "interferometer": (
+        "InterferometerConfig",
+        "QuantumNoiseCurve",
+        "SqueezerSetup",
+        "coupling_kappa",
+        "quantum_noise_asd",
+        "quantum_noise_curve",
+        "sql_asd",
+    ),
+    "states": (
+        "ANGLE_POLICIES",
+        "NumericalRangeError",
+        "VACUUM",
+        "LossChain",
+        "PhaseNoise",
+        "PropagationResult",
+        "SqueezedState",
+        "apply_loss",
+        "apply_phase_noise",
+        "detected_db",
+        "propagate",
+        "state_from_db",
+    ),
+}
+
+#: Public name -> the submodule that provides it.
+_EXPORTS = {name: module for module, names in _PROVIDERS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _PROVIDERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PROVIDERS})

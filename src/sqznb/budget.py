@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import as_float
+from .states import NumericalRangeError, as_float
 
 __all__ = [
     "ASD_CSV_HEADER",
@@ -55,14 +55,6 @@ class AsdFileError(ValueError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{path}:{line}: {message}")
-
-
-class NumericalRangeError(ValueError):
-    """A spectral value left the positive finite range; carries its frequency."""
-
-    def __init__(self, message: str, frequency: float | None = None):
-        super().__init__(message)
-        self.frequency = frequency
 
 
 def _validated_curve(frequencies, curves=(), *, min_points=1):

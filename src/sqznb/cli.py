@@ -16,20 +16,10 @@ from pathlib import Path
 
 import click
 
-from .budget import (
-    NumericalRangeError,
-    compose,
-    equivalent_power_increase,
-    improvement_db,
-    ingest_asd,
-    resample,
-    write_asd_csv,
-)
-from .config import LOW_BAND, RunConfig, load_run_config
+# budget, config, interferometer and svgplot load numpy; they are imported in
+# the commands that use them, so propagate, fit and optimize start without it.
 from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
-from .interferometer import ANGLE_POLICIES, quantum_noise_curve
-from .states import LossChain, PhaseNoise, detected_db, propagate
-from .svgplot import write_loglog_svg
+from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, detected_db, propagate
 
 
 class _NumericalFailure(click.ClickException):
@@ -215,8 +205,11 @@ def _prefix_path(prefix: str) -> Path:
     return path
 
 
-def _budgets(cfg: RunConfig, policies) -> dict:
+def _budgets(cfg, policies) -> dict:
     """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
+    from .budget import compose, ingest_asd, resample
+    from .interferometer import quantum_noise_curve
+
     grid = cfg.grid.frequencies()
     tables = [(label, resample(ingest_asd(p, label=label), grid)) for label, p in cfg.components]
     budgets = {}
@@ -232,6 +225,8 @@ def _improvement_dict(imp) -> dict:
 
 
 def _power_increase_or_none(value_db: float):
+    from .budget import equivalent_power_increase
+
     return equivalent_power_increase(value_db) if value_db >= 0.0 else None
 
 
@@ -242,6 +237,10 @@ def _power_increase_or_none(value_db: float):
 @_lib_errors
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
+    from .budget import improvement_db, write_asd_csv
+    from .config import LOW_BAND, load_run_config
+    from .svgplot import write_loglog_svg
+
     cfg = load_run_config(config_path)
     budgets = _budgets(cfg, dict.fromkeys([cfg.squeezer.angle_policy, "none"]))
     squeezed, reference = budgets[cfg.squeezer.angle_policy], budgets["none"]
@@ -315,6 +314,10 @@ def budget_cmd(config_path, prefix, with_svg):
 @_lib_errors
 def project_cmd(config_path, mode, prefix):
     """Project quantum-noise and total curves for squeeze-angle policies."""
+    from .budget import write_asd_csv
+    from .config import load_run_config
+    from .svgplot import write_loglog_svg
+
     cfg = load_run_config(config_path)
     budgets = _budgets(cfg, ANGLE_POLICIES if mode == "all" else [mode])
     first = next(iter(budgets.values()))

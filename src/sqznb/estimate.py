@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
 from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix, readout_db
 from .states import variances_from_db
@@ -33,7 +31,7 @@ __all__ = [
 #: (samples, seed) and the working memory beyond the result is one block.
 MC_BLOCK = 65536
 
-_THETA_MAX = float(np.nextafter(MAX_PHASE_RMS, 0.0))
+_THETA_MAX = math.nextafter(MAX_PHASE_RMS, 0.0)
 
 #: A fit target this close above the injected or attainable level is taken as
 #: that level: levels computed by the forward chain carry its rounding.
@@ -132,8 +130,10 @@ class McUncertaintyResult:
     seed: int
 
 
-def _clip_counted(m: MeasurementWithUncertainty, z, low, high, counts, name) -> np.ndarray:
+def _clip_counted(m: MeasurementWithUncertainty, z, low, high, counts, name):
     """Draws ``m.value + m.sigma * z`` clipped to [low, high]; adds the clipped count."""
+    import numpy as np
+
     raw = m.value + m.sigma * z
     inside = np.clip(raw, low, high)
     counts[name] += int(np.count_nonzero(raw != inside))
@@ -184,8 +184,11 @@ def mc_uncertainty(
     ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
     2**128), so results are reproducible for a fixed (samples, seed), and
     memory is the 8-byte-per-sample result plus one block.  ``samples`` and
-    ``seed`` must be whole numbers >= 0, and ``samples`` at least 1000.
+    ``seed`` must be whole numbers >= 0, and ``samples`` at least 1000; a
+    result buffer that cannot be allocated raises ValueError naming its size.
     """
+    import numpy as np  # only the Monte Carlo needs numpy; the scalar paths start without it
+
     samples = as_whole_number(samples, "samples")
     seed = as_whole_number(seed, "seed")
     if samples < 1000:
@@ -196,7 +199,13 @@ def mc_uncertainty(
     as_float(efficiency.sigma, "efficiency sigma", ge=0.0, le=1.0)
     as_float(phase_rms.sigma, "phase_rms sigma", ge=0.0, le=MAX_PHASE_RMS, unit=" rad")
 
-    detected = np.empty(samples)
+    try:
+        detected = np.empty(samples)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"samples = {samples} needs a {8 * samples / 2**30:.3g} GiB result buffer, "
+            "which could not be allocated"
+        ) from exc
     clamped = {"inject_db": 0, "efficiency": 0, "phase_rms": 0}
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
         stop = min(start + MC_BLOCK, samples)

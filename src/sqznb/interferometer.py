@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import NumericalRangeError, _freeze, _validated_curve
-from .states import LossChain, PhaseNoise, SqueezedState, as_float, as_inject_db, mix, propagate
+from .budget import _freeze, _validated_curve
+from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
+from .states import as_float, as_inject_db, mix, propagate
 
 __all__ = [
     "ANGLE_POLICIES",
@@ -44,8 +45,6 @@ __all__ = [
     "quantum_noise_asd",
     "quantum_noise_curve",
 ]
-
-ANGLE_POLICIES = ("none", "fixed", "fd-optimal")
 
 #: Speed of light [m/s] and reduced Planck constant [J s], both exact in the 2019 SI.
 c = 299792458.0

@@ -13,6 +13,8 @@ import numbers
 from dataclasses import dataclass
 
 __all__ = [
+    "ANGLE_POLICIES",
+    "NumericalRangeError",
     "SqueezedState",
     "PhaseNoise",
     "LossChain",
@@ -34,6 +36,18 @@ MAX_PHASE_RMS = math.pi / 4
 
 #: Largest accepted injection level in dB; 10**(s/10) overflows a float near 3082.5 dB.
 MAX_INJECT_DB = 3000.0
+
+#: How the squeeze angle is chosen: no squeezing, one fixed angle, or the
+#: frequency-dependent optimum (see interferometer.SqueezerSetup).
+ANGLE_POLICIES = ("none", "fixed", "fd-optimal")
+
+
+class NumericalRangeError(ValueError):
+    """A spectral value left the positive finite range; carries its frequency."""
+
+    def __init__(self, message: str, frequency: float | None = None):
+        super().__init__(message)
+        self.frequency = frequency
 
 
 def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str = "") -> float:

@@ -169,6 +169,27 @@ class TestUncertaintyCommand:
         result = runner.invoke(main, ["uncertainty", "--mc-samples", "10"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_unallocatable_sample_count_exits_2(self, runner, monkeypatch, error):
+        # the allocation is refused by a stand-in, so no host memory is ever asked for
+        requested = []
+
+        def refuse(shape, *args, **kwargs):
+            requested.append(shape)
+            raise error("simulated allocation failure")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        result = runner.invoke(main, ["uncertainty", "--mc-samples", "1e13"])
+        assert requested == [10**13]
+        assert result.exit_code == 2, result.output
+        assert "samples = 10000000000000 needs a 7.45e+04 GiB result buffer" in result.output
+
+    def test_sample_count_past_numpy_dimension_limit_exits_2(self, runner):
+        # 8e20 bytes overflows numpy's size type, so numpy refuses before allocating
+        result = runner.invoke(main, ["uncertainty", "--mc-samples", "1e20"])
+        assert result.exit_code == 2, result.output
+        assert "samples = 100000000000000000000 needs a" in result.output
+
     def test_negative_seed_exits_2(self, runner):
         result = runner.invoke(main, ["uncertainty", "--seed", "-1"])
         assert result.exit_code == 2

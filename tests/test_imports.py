@@ -1,0 +1,122 @@
+"""Start-up cost and the lazy package namespace.
+
+The scalar commands (propagate, fit, optimize) run without numpy, and
+``sqznb.X`` resolves on first use to the object its submodule defines.
+"""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import sqznb
+from sqznb import budget, estimate, interferometer, states
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SUBMODULES = ("budget", "config", "estimate", "interferometer", "states")
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def imported_modules(args) -> set[str]:
+    """Names of the modules that ``python -m sqznb ARGS`` imports, from ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sqznb", *args],
+        capture_output=True, text=True, env=_env(), cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "[us]" not in line
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["propagate", "--inject-db", "10.3", "--eta", "0.44", "--phase-mrad", "37"],
+        ["propagate", "--inject-db", "10.3", "--loss", "mm=0.75", "--loss", "omc=0.82"],
+        ["fit", "--injected", "10.3", "--detected", "2.1", "--phase-mrad", "37"],
+        ["optimize", "--eta", "0.44", "--phase-mrad", "37"],
+        ["--help"],
+        ["project", "--help"],
+    ],
+    ids=["propagate-eta", "propagate-loss", "fit", "optimize", "help", "project-help"],
+)
+def test_scalar_commands_never_import_numpy(args):
+    modules = imported_modules(args)
+    assert "sqznb.cli" in modules
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+
+def test_uncertainty_loads_numpy_but_not_the_budget_layers():
+    modules = imported_modules(["uncertainty", "--mc-samples", "1000"])
+    assert "numpy" in modules  # the check sees an import when there is one
+    assert not modules & {"sqznb.budget", "sqznb.interferometer", "sqznb.config", "sqznb.svgplot"}
+
+
+def test_import_sqznb_alone_leaves_numpy_out():
+    code = (
+        "import sys, sqznb; "
+        "print('numpy' in sys.modules, sqznb.states.PhaseNoise is sqznb.PhaseNoise, "
+        "'numpy' in sys.modules, sqznb.budget.resample is sqznb.resample)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "False", "True"]
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("name", sqznb.__all__)
+    def test_name_is_the_object_of_its_defining_module(self, name):
+        value = getattr(sqznb, name)
+        holders = [
+            m for m in SUBMODULES if hasattr(importlib.import_module(f"sqznb.{m}"), name)
+        ]
+        assert holders, f"no submodule defines {name}"
+        for m in holders:
+            assert getattr(importlib.import_module(f"sqznb.{m}"), name) is value, (m, name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(sqznb.__all__) <= set(dir(sqznb))
+        assert set(SUBMODULES) <= set(dir(sqznb))
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from sqznb import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == set(sqznb.__all__)
+        assert all(namespace[name] is getattr(sqznb, name) for name in sqznb.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            sqznb.not_a_name
+        assert not hasattr(sqznb, "not_a_name")
+        assert not hasattr(sqznb, "np")
+
+    def test_submodules_are_attributes(self):
+        for m in SUBMODULES:
+            assert getattr(sqznb, m) is sys.modules[f"sqznb.{m}"]
+
+    def test_numerical_range_error_has_one_class(self):
+        assert sqznb.NumericalRangeError is budget.NumericalRangeError is states.NumericalRangeError
+        assert interferometer.NumericalRangeError is states.NumericalRangeError
+        assert issubclass(states.NumericalRangeError, ValueError)
+
+    def test_angle_policies_have_one_tuple(self):
+        assert interferometer.ANGLE_POLICIES is states.ANGLE_POLICIES is sqznb.ANGLE_POLICIES
+        assert states.ANGLE_POLICIES == ("none", "fixed", "fd-optimal")
+
+    def test_theta_max_is_the_numpy_value(self):
+        assert estimate._THETA_MAX == float(np.nextafter(states.MAX_PHASE_RMS, 0.0))
+        assert estimate._THETA_MAX < states.MAX_PHASE_RMS
