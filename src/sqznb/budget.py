@@ -169,11 +169,12 @@ def write_asd_csv(path, frequencies, asd, comments=()) -> None:
     """Emit an ASD table in the CSV contract above.
 
     Floats are written with ``repr`` so ingesting the file reproduces the
-    arrays bit-exactly.
+    arrays bit-exactly.  Each line of a comment, split where ``ingest_asd``
+    splits the file, becomes its own ``#`` line.
     """
     f, (v,) = _validated_curve(frequencies, [("ASD", asd)], min_points=2)
     lines = [ASD_CSV_HEADER]
-    lines.extend(f"# {comment}" for comment in comments)
+    lines.extend(f"# {piece}" for comment in comments for piece in comment.splitlines() or [""])
     lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(f, v))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -252,26 +253,35 @@ class BandImprovement:
     points: int
 
 
+def _band(band, grid, name: str):
+    """The one rule for a band on a grid: return ``(low, high, mask of the points inside)``.
+
+    ``band[0]`` < ``band[1]`` must be finite, inside ``[grid[0], grid[-1]]``
+    and hold at least one grid point, else ValueError naming ``name``.
+    """
+    lo = as_float(band[0], f"{name}[0]")
+    hi = as_float(band[1], f"{name}[1]", gt=lo)
+    if lo < grid[0] or hi > grid[-1]:
+        raise ValueError(
+            f"{name} [{lo}, {hi}] Hz lies outside the grid span [{grid[0]}, {grid[-1]}] Hz"
+        )
+    mask = (grid >= lo) & (grid <= hi)
+    if not mask.any():
+        raise ValueError(f"no grid points inside {name} [{lo}, {hi}] Hz")
+    return lo, hi, mask
+
+
 def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandImprovement:
     """Broadband gain of ``squeezed`` over ``reference`` inside a band.
 
     Positive dB means the squeezed total sits below the reference.  Reports
     20*log10 of the median point-wise ASD ratio and of the largest ratio
-    (the "up to" figure).  Both budgets must share the grid and the band
-    must lie inside it.
+    (the "up to" figure).  Both budgets must share the grid, and the band
+    must pass ``_band`` on it.
     """
-    lo = as_float(band[0], "band[0]")
-    hi = as_float(band[1], "band[1]", gt=lo)
+    lo, hi, mask = _band(band, reference.grid, "band")
     if not np.array_equal(reference.grid, squeezed.grid):
         raise ValueError("budgets are on different frequency grids")
-    g = reference.grid
-    if lo < g[0] or hi > g[-1]:
-        raise ValueError(
-            f"band [{lo}, {hi}] Hz extends outside the grid span [{g[0]}, {g[-1]}] Hz"
-        )
-    mask = (g >= lo) & (g <= hi)
-    if not mask.any():
-        raise ValueError(f"no grid points inside band [{lo}, {hi}] Hz")
     ratio = reference.total[mask] / squeezed.total[mask]
     return BandImprovement(
         median_db=20.0 * math.log10(float(np.median(ratio))) + 0.0,

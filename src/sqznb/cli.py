@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import json
 import math
-import re
 from pathlib import Path
 
 import click
@@ -147,7 +146,7 @@ def fit_cmd(injected, detected, phase_mrad):
     "--mc-samples", type=float, default=100_000, show_default=True, metavar="INTEGER",
     help="Whole number of draws; 1e6 is accepted.",
 )
-@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
+@click.option("--seed", type=float, default=42, show_default=True, metavar="INTEGER")
 @_lib_errors
 def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phase_sigma_mrad, mc_samples, seed):
     """Monte Carlo propagation of input uncertainties to detected dB."""
@@ -194,10 +193,6 @@ def optimize_cmd(eta, phase_mrad, max_db):
     )
 
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
-
-
 def _prefix_path(prefix: str) -> Path:
     path = Path(prefix)
     if path.parent and not path.parent.exists():
@@ -237,8 +232,8 @@ def _power_increase_or_none(value_db: float):
 @_lib_errors
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
-    from .budget import improvement_db, write_asd_csv
-    from .config import LOW_BAND, load_run_config
+    from .budget import _band, improvement_db, write_asd_csv
+    from .config import LOW_BAND, _safe_name, load_run_config
     from .svgplot import write_loglog_svg
 
     cfg = load_run_config(config_path)
@@ -247,8 +242,11 @@ def budget_cmd(config_path, prefix, with_svg):
 
     imp = improvement_db(reference, squeezed, cfg.band)
     grid = squeezed.grid
-    low = None
-    if grid[0] <= LOW_BAND[0] and LOW_BAND[1] <= grid[-1]:
+    try:
+        _band(LOW_BAND, grid, "low band")
+    except ValueError:
+        low = None  # the low band is optional: reported when the band rule accepts it
+    else:
         low = improvement_db(reference, squeezed, LOW_BAND)
 
     if cfg.squeezer.angle_policy == "none":

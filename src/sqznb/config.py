@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .budget import _band
 from .interferometer import InterferometerConfig, SqueezerSetup
 from .states import LossChain, PhaseNoise, as_float, as_whole_number
 
@@ -40,16 +42,23 @@ class GridSpec:
     def __post_init__(self):
         f_min = as_float(self.f_min, "f_min", gt=0.0)
         as_float(self.f_max, "f_max", gt=f_min)
-        object.__setattr__(self, "points", as_whole_number(self.points, "points"))
-        if self.points < 2:
-            raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
+        object.__setattr__(self, "points", as_whole_number(self.points, "points", ge=2))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if np.any(np.diff(self.frequencies()) <= 0.0):
+            raise ValueError(
+                f"grid [{self.f_min}, {self.f_max}] is too narrow for {self.points} "
+                "strictly increasing points"
+            )
 
     def frequencies(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
-        return np.linspace(self.f_min, self.f_max, self.points)
+        """The grid points; the first is exactly ``f_min`` and the last exactly ``f_max``."""
+        if self.spacing == "linear":
+            return np.linspace(self.f_min, self.f_max, self.points)
+        f = np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
+        # 10**log10(x) can miss x by an ulp (3000 -> 3000.000000000001)
+        f[0], f[-1] = self.f_min, self.f_max
+        return f
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,11 @@ class RunConfig:
     grid: GridSpec
     components: tuple[tuple[str, str], ...]
     band: tuple[float, float]
+
+
+def _safe_name(label: str) -> str:
+    """The form of a component label used in output file names."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
 
 
 def _section(raw: dict, key: str, required: bool = True) -> dict:
@@ -128,7 +142,7 @@ def _parse_grid(section: dict) -> GridSpec:
     return GridSpec(
         f_min=_number(section, "f_min_hz", "grid"),
         f_max=_number(section, "f_max_hz", "grid"),
-        points=as_whole_number(section.get("points"), "grid.points"),
+        points=section.get("points"),
         spacing=str(section.get("spacing", "log")),
     )
 
@@ -157,10 +171,15 @@ def load_run_config(path) -> RunConfig:
         if not isinstance(entry, dict) or "label" not in entry or "file" not in entry:
             raise ValueError(f"components[{i}] must be an object with label and file")
         label = str(entry["label"])
-        reserved = label in ("quantum", "total") or label.startswith(("quantum-", "total-"))
-        if label in seen or reserved:
-            raise ValueError(f"components[{i}]: duplicate or reserved label {label!r}")
-        seen.add(label)
+        # budget writes each component to <prefix>-<file name form>.csv next to
+        # its quantum and total curves, so the rule applies to that form
+        name = _safe_name(label)
+        reserved = name in ("quantum", "total") or name.startswith(("quantum-", "total-"))
+        if name in seen or reserved:
+            raise ValueError(
+                f"components[{i}]: duplicate or reserved label {label!r} (file name {name!r})"
+            )
+        seen.add(name)
         file_path = (path.parent / str(entry["file"])).resolve()
         if not file_path.is_file():
             raise ValueError(f"components[{i}]: file not found: {file_path}")
@@ -169,13 +188,7 @@ def load_run_config(path) -> RunConfig:
     band_raw = raw.get("band_hz", list(DEFAULT_BAND))
     if not isinstance(band_raw, list) or len(band_raw) != 2:
         raise ValueError(f"band_hz must be a [low, high] pair of numbers, got {band_raw!r}")
-    low = as_float(band_raw[0], "band_hz[0]")
-    band = (low, as_float(band_raw[1], "band_hz[1]", gt=low))
-    if band[0] < grid.f_min or band[1] > grid.f_max:
-        raise ValueError(
-            f"band_hz [{band[0]}, {band[1]}] lies outside the grid span "
-            f"[{grid.f_min}, {grid.f_max}]"
-        )
+    low, high, _ = _band(band_raw, grid.frequencies(), "band_hz")
 
     return RunConfig(
         label=str(raw.get("label", interferometer.label)),
@@ -183,5 +196,5 @@ def load_run_config(path) -> RunConfig:
         squeezer=squeezer,
         grid=grid,
         components=tuple(components),
-        band=band,
+        band=(low, high),
     )

@@ -183,16 +183,14 @@ def mc_uncertainty(
     The draws come in blocks of ``MC_BLOCK``: block ``b`` is drawn from
     ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
     2**128), so results are reproducible for a fixed (samples, seed), and
-    memory is the 8-byte-per-sample result plus one block.  ``samples`` and
-    ``seed`` must be whole numbers >= 0, and ``samples`` at least 1000; a
-    result buffer that cannot be allocated raises ValueError naming its size.
+    memory is the 8-byte-per-sample result plus one block.  ``samples`` must
+    be a whole number >= 1000 and ``seed`` one >= 0; a result buffer that
+    cannot be allocated raises ValueError naming its size.
     """
     import numpy as np  # only the Monte Carlo needs numpy; the scalar paths start without it
 
-    samples = as_whole_number(samples, "samples")
+    samples = as_whole_number(samples, "samples", ge=1000)
     seed = as_whole_number(seed, "seed")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples for a meaningful spread, got {samples}")
     # the central values themselves must be valid inputs
     propagate(inject_db.value, efficiency.value, PhaseNoise(phase_rms.value))
     as_float(inject_db.sigma, "inject_db sigma", ge=0.0, le=MAX_INJECT_DB, unit=" dB")

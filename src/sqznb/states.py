@@ -94,14 +94,14 @@ def as_inject_db(value, name: str = "inject_db") -> float:
     return as_float(value, name, ge=0.0, le=MAX_INJECT_DB, unit=" dB")
 
 
-def as_whole_number(value, name: str) -> int:
-    """``value`` as a non-negative int; a bool, a fraction or a negative raises ValueError."""
+def as_whole_number(value, name: str, *, ge: int = 0) -> int:
+    """``value`` as an int >= ``ge``; a bool, a fraction or a smaller value raises ValueError."""
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if value < ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value!r}")
     return int(value)
 
 

@@ -88,6 +88,16 @@ class TestIngest:
         np.testing.assert_array_equal(table.frequencies, freqs)
         np.testing.assert_array_equal(table.asd, values)
 
+    def test_each_line_of_a_comment_gets_its_own_hash(self, tmp_path):
+        path = tmp_path / "c.csv"
+        comments = ["one line", "a\nb\rc\r\nd\u2028e", ""]
+        write_asd_csv(path, [10.0, 100.0], [1e-22, 2e-23], comments=comments)
+        assert path.read_text(encoding="utf-8") == (
+            f"{ASD_CSV_HEADER}\n# one line\n# a\n# b\n# c\n# d\n# e\n# \n"
+            "10.0,1e-22\n100.0,2e-23\n"
+        )
+        assert ingest_asd(path).asd.tolist() == [1e-22, 2e-23]
+
 
 class TestResample:
     def table(self):
@@ -202,6 +212,24 @@ class TestImprovement:
         with pytest.raises(ValueError, match="outside the grid"):
             improvement_db(ref, sqz, (5.0, 100.0))
 
+    @pytest.mark.parametrize(
+        "band, message",
+        [
+            ((400.0, 401.0), "no grid points inside band"),
+            ((math.nextafter(10.0, 0.0), 100.0), "outside the grid"),
+            ((100.0, math.nextafter(10000.0, math.inf)), "outside the grid"),
+            ((100.0, 100.0), r"band\[1\] must be > 100"),
+        ],
+    )
+    def test_band_rule(self, band, message):
+        ref, sqz = self.budget_pair(1.0)
+        with pytest.raises(ValueError, match=message):
+            improvement_db(ref, sqz, band)
+
+    def test_band_at_the_grid_ends_holds_them(self):
+        ref, sqz = self.budget_pair(1.0)
+        assert improvement_db(ref, sqz, (10.0, 10000.0)).points == self.GRID.size
+
     def test_mismatched_grids_rejected(self):
         ref, _ = self.budget_pair(1.0)
         other_grid = self.GRID * 1.001
@@ -299,3 +327,20 @@ class TestGridSpec:
     def test_rejects_bad_span(self, f_min, f_max, points):
         with pytest.raises(ValueError, match="f_min|f_max|points"):
             GridSpec(f_min, f_max, points)
+
+    @pytest.mark.parametrize("points", [-3, 0, 1])
+    def test_point_count_names_its_bound(self, points):
+        with pytest.raises(ValueError, match=f"points must be >= 2, got {points}"):
+            GridSpec(10.0, 100.0, points)
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_rejects_span_too_narrow_for_its_points(self, spacing):
+        with pytest.raises(ValueError, match="too narrow for 5 strictly increasing points"):
+            GridSpec(1000.0, math.nextafter(1000.0, math.inf), 5, spacing)
+
+    @pytest.mark.parametrize("f_max", [3000.0, 5000.0, 1234.5, 10000.0])
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_grid_ends_are_the_span_ends(self, f_max, spacing):
+        f = GridSpec(10.0, f_max, 100, spacing).frequencies()
+        assert f[0] == 10.0 and f[-1] == f_max
+        assert np.all(np.diff(f) > 0.0)

@@ -193,7 +193,27 @@ class TestUncertaintyCommand:
     def test_negative_seed_exits_2(self, runner):
         result = runner.invoke(main, ["uncertainty", "--seed", "-1"])
         assert result.exit_code == 2
-        assert "--seed" in result.output and "x>=0" in result.output
+        assert "seed must be >= 0" in result.output
+
+    def test_seed_takes_whole_floats(self, runner):
+        as_int = runner.invoke(main, ["uncertainty", "--mc-samples", "2000", "--seed", "1000"])
+        as_float = runner.invoke(main, ["uncertainty", "--mc-samples", "2000", "--seed", "1e3"])
+        assert as_int.exit_code == 0, as_int.output
+        assert as_float.output == as_int.output
+        assert json.loads(as_float.output)["seed"] == 1000
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mc-samples", "-5"], "samples must be >= 1000, got -5.0"),
+            (["--mc-samples", "999"], "samples must be >= 1000, got 999.0"),
+            (["--seed", "0.5"], "seed must be a whole number, got 0.5"),
+        ],
+    )
+    def test_counts_name_their_own_bound(self, runner, args, message):
+        result = runner.invoke(main, ["uncertainty", *args])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_sample_count_takes_whole_floats(self, runner):
         as_int = runner.invoke(main, ["uncertainty", "--mc-samples", "2000"])
@@ -459,6 +479,111 @@ class TestBudgetCommand:
         result = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "bad")])
         assert result.exit_code == 2
         assert "not both" in result.output
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["total reference"], ["a b", "a-b"]],
+        ids=["overwrites-reference-total", "one-file-for-two-labels"],
+    )
+    def test_labels_colliding_as_file_names_exit_2(self, runner, configs_dir, tmp_path, labels):
+        table = str(configs_dir / "aligo_thermal_synthetic.csv")
+        components = [{"label": label, "file": table} for label in labels]
+        cfg = write_config(tmp_path, components=components)
+        result = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "duplicate or reserved label" in result.output
+        assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\u2028"])
+    def test_multiline_label_keeps_every_csv_readable(self, runner, tmp_path, newline):
+        cfg = write_config(tmp_path, label=f"H1{newline}run 7")
+        result = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "run"), "--svg"])
+        assert result.exit_code == 0, result.output
+        csvs = sorted(tmp_path.glob("run-*.csv"))
+        assert len(csvs) == 3
+        for path in csvs:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[1].startswith("# ") and lines[1].endswith("(H1")
+            assert lines[2] == "# run 7)"
+            table = ingest_asd(path)
+            assert len(table) == 200
+            assert table.frequencies[0] == 10.0 and table.frequencies[-1] == 10000.0
+
+
+class TestBandRule:
+    """The loader, ``budget`` and ``project`` accept the same bands and grids."""
+
+    def invoke_both(self, runner, tmp_path, **overrides):
+        cfg = write_config(tmp_path, **overrides)
+        budget = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "b")])
+        project = runner.invoke(main, ["project", str(cfg), "--out", str(tmp_path / "p")])
+        return budget, project
+
+    def test_band_without_a_grid_point_exits_2_everywhere(self, runner, tmp_path):
+        budget, project = self.invoke_both(
+            runner,
+            tmp_path,
+            grid={"f_min_hz": 10.0, "f_max_hz": 10000.0, "points": 20},
+            band_hz=[400.0, 401.0],
+        )
+        for result in (budget, project):
+            assert result.exit_code == 2, result.output
+            assert "no grid points inside band_hz [400.0, 401.0] Hz" in result.output
+
+    def test_low_band_without_a_grid_point_is_not_reported(self, runner, schema_dir, tmp_path):
+        # 10, 316.2 and 10000 Hz: no point in 150-300 Hz, one in the band
+        budget, project = self.invoke_both(
+            runner,
+            tmp_path,
+            grid={"f_min_hz": 10.0, "f_max_hz": 10000.0, "points": 3},
+            band_hz=[300.0, 400.0],
+        )
+        assert budget.exit_code == 0, budget.output
+        assert project.exit_code == 0, project.output
+        summary = json.loads((tmp_path / "b-summary.json").read_text())
+        validate(schema_dir, "budget-summary.schema.json", summary)
+        assert summary["low_band_hz"] is None
+        assert summary["low_band_improvement_db"] is None
+        assert summary["improvement_db"]["max"] > 2.0
+
+    @pytest.mark.parametrize("f_max", [3000.0, 5000.0])
+    def test_band_ending_at_f_max(self, runner, tmp_path, f_max):
+        budget, project = self.invoke_both(
+            runner,
+            tmp_path,
+            grid={"f_min_hz": 10.0, "f_max_hz": f_max, "points": 200},
+            band_hz=[400.0, f_max],
+        )
+        assert budget.exit_code == 0, budget.output
+        assert project.exit_code == 0, project.output
+        summary = json.loads((tmp_path / "b-summary.json").read_text())
+        assert summary["band_hz"] == [400.0, f_max]
+        assert ingest_asd(tmp_path / "b-total.csv").frequencies[-1] == f_max
+
+    def test_table_spanning_exactly_the_grid_resamples(self, runner, tmp_path):
+        (tmp_path / "flat.csv").write_text(
+            "frequency_hz,asd_strain_per_sqrt_hz\n10.0,1e-24\n3000.0,1e-24\n"
+        )
+        budget, project = self.invoke_both(
+            runner,
+            tmp_path,
+            grid={"f_min_hz": 10.0, "f_max_hz": 3000.0, "points": 200},
+            components=[{"label": "flat", "file": "flat.csv"}],
+        )
+        assert budget.exit_code == 0, budget.output
+        assert project.exit_code == 0, project.output
+        assert np.all(ingest_asd(tmp_path / "b-flat.csv").asd == 1e-24)
+
+    def test_grid_too_narrow_for_its_points_is_a_config_error(self, runner, tmp_path):
+        budget, project = self.invoke_both(
+            runner,
+            tmp_path,
+            grid={"f_min_hz": 1000.0, "f_max_hz": 1000.0000000000001, "points": 5},
+            band_hz=[1000.0, 1000.0000000000001],
+        )
+        for result in (budget, project):
+            assert result.exit_code == 2, result.output
+            assert "too narrow for 5 strictly increasing points" in result.output
 
 
 class TestProjectCommand:

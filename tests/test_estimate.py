@@ -210,9 +210,12 @@ class TestMcUncertainty:
             ("samples", 1500.9, "samples must be a whole number"),
             ("samples", False, "samples must be a whole number"),
             ("samples", math.inf, "samples must be a whole number"),
+            ("samples", -5, "samples must be >= 1000, got -5"),
+            ("samples", 999.0, "samples must be >= 1000, got 999.0"),
         ],
         ids=["seed-bool", "seed-fraction", "seed-negative", "seed-string",
-             "samples-fraction", "samples-bool", "samples-inf"],
+             "samples-fraction", "samples-bool", "samples-inf", "samples-negative",
+             "samples-below-1000"],
     )
     def test_rejects_bad_seed_and_samples(self, argument, value, message):
         kwargs = {"samples": 2000, argument: value}

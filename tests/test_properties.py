@@ -1,5 +1,6 @@
-"""Property tests tying the closed-form inverses to the forward chain, and
-the library, CLI and run-config paths to one domain rule per input.
+"""Property tests tying the closed-form inverses to the forward chain, the
+library, CLI and run-config paths to one domain rule per input, and the run
+config, ``budget`` and ``project`` to one band rule.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -9,19 +10,24 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqznb import (
+    ASD_CSV_HEADER,
+    GridSpec,
     MeasurementWithUncertainty,
     PhaseNoise,
+    TabulatedASD,
     fit_efficiency,
     load_run_config,
     mc_uncertainty,
     optimal_inject_db,
     propagate,
+    resample,
 )
 from sqznb.cli import main
 from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS
@@ -163,3 +169,85 @@ def test_one_domain_rule_on_every_path(field, data, config_path):
         # the message names the input as the library knows it, and the CLI prints it
         assert api_error.startswith(f"{name} must be")
         assert api_error in result.output
+
+
+#: Span ends: 10**log10(f) misses 3000 and 5000 by an ulp and lands on 10 and 10000.
+SPAN_ENDS = [1.0, 10.0, 150.0, 300.0, 1234.5, 3000.0, 5000.0, 10000.0]
+
+
+@st.composite
+def grids_and_bands(draw):
+    """A grid spec and a band whose edges sit at the span ends and their ulp
+    neighbours, outside the span, on grid points, or between two of them, or
+    a band inside one gap between grid points."""
+    ends = st.sampled_from(SPAN_ENDS) | st.floats(min_value=1.0, max_value=2e4)
+    f_min, f_max = draw(ends), draw(ends)
+    assume(f_min < f_max)
+    points = draw(st.integers(min_value=2, max_value=50))
+    spacing = draw(st.sampled_from(["log", "linear"]))
+    if spacing == "log":
+        approx = np.logspace(math.log10(f_min), math.log10(f_max), points).tolist()
+    else:
+        approx = np.linspace(f_min, f_max, points).tolist()
+    edges = [
+        *(math.nextafter(end, 0.0) for end in (f_min, f_max)),
+        f_min,
+        f_max,
+        *(math.nextafter(end, math.inf) for end in (f_min, f_max)),
+        0.5 * f_min,
+        2.0 * f_max,
+        *approx,
+        *((a + b) / 2.0 for a, b in zip(approx, approx[1:])),
+    ]
+    edge = st.sampled_from(edges) | st.floats(min_value=0.5 * f_min, max_value=2.0 * f_max)
+    if draw(st.booleans()):
+        band = sorted((draw(edge), draw(edge)))
+    else:
+        i = draw(st.integers(min_value=0, max_value=points - 2))
+        a, b = approx[i], approx[i + 1]
+        band = [a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0]
+    return f_min, f_max, points, spacing, band
+
+
+@pytest.fixture(scope="module")
+def band_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bands")
+
+
+@SETTINGS
+@given(case=grids_and_bands())
+def test_one_band_rule_for_loader_budget_and_project(case, band_dir):
+    f_min, f_max, points, spacing, (low, high) = case
+    table = band_dir / "edge.csv"
+    table.write_text(f"{ASD_CSV_HEADER}\n{f_min!r},1e-24\n{f_max!r},1e-24\n")
+    cfg = copy.deepcopy(H1_CONFIG)
+    cfg["grid"] = {"f_min_hz": f_min, "f_max_hz": f_max, "points": points, "spacing": spacing}
+    cfg["components"] = [{"label": "edge", "file": str(table)}]
+    cfg["band_hz"] = [low, high]
+    path = band_dir / "config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        load_run_config(path)
+        accepted = True
+    except ValueError:
+        accepted = False
+
+    runner = CliRunner()
+    budget = runner.invoke(main, ["budget", str(path), "--out", str(band_dir / "b")])
+    project = runner.invoke(main, ["project", str(path), "--out", str(band_dir / "p")])
+    assert accepted == (budget.exit_code == 0) == (project.exit_code == 0), (
+        budget.output,
+        project.output,
+    )
+    assert budget.exit_code in (0, 2) and project.exit_code in (0, 2)
+
+    try:
+        grid = GridSpec(f_min, f_max, points, spacing).frequencies()
+    except ValueError:
+        assert not accepted
+        return
+    assert grid[0] == f_min and grid[-1] == f_max
+    holds_a_point = any(low <= f <= high for f in grid.tolist())
+    assert accepted == (f_min <= low < high <= f_max and holds_a_point)
+    flat = TabulatedASD(np.array([f_min, f_max]), np.array([1e-24, 1e-24]), "edge")
+    assert np.all(resample(flat, grid) == 1e-24)
