@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import NumericalRangeError, as_float
+from .states import MAX_INJECT_DB, NumericalRangeError, as_float
 
 __all__ = [
     "ASD_CSV_HEADER",
@@ -295,7 +295,8 @@ def equivalent_power_increase(improvement_db: float) -> float:
     """Fractional arm-power increase matching a shot-noise gain in dB.
 
     Shot-noise ASD scales as 1/sqrt(P), so an amplitude improvement of
-    x dB is equivalent to multiplying the stored power by 10**(x/10).
+    x dB is equivalent to multiplying the stored power by 10**(x/10).  The
+    gain must lie in [0, MAX_INJECT_DB] dB, which holds every gain a budget can show.
     """
-    x = as_float(improvement_db, "improvement", ge=0.0, unit=" dB")
+    x = as_float(improvement_db, "improvement", ge=0.0, le=MAX_INJECT_DB, unit=" dB")
     return 10.0 ** (x / 10.0) - 1.0

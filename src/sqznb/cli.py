@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
+import os
 from pathlib import Path
 
 import click
@@ -193,13 +193,6 @@ def optimize_cmd(eta, phase_mrad, max_db):
     )
 
 
-def _prefix_path(prefix: str) -> Path:
-    path = Path(prefix)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _budgets(cfg, policies) -> dict:
     """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
     from .budget import compose, ingest_asd, resample
@@ -225,6 +218,48 @@ def _power_increase_or_none(value_db: float):
     return equivalent_power_increase(value_db) if value_db >= 0.0 else None
 
 
+def _name_max(directory: Path) -> int:
+    """The longest file name, in bytes, the file system holding ``directory`` takes; else 255."""
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        return 255
+    return limit if limit > 0 else 255
+
+
+def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
+    """Write the files of a run; every output name is checked before the first is written.
+
+    Each ``(tag, values, comment)`` in ``csvs`` goes to ``<prefix>-<tag>.csv``;
+    ``summary``, with the CSV names added as ``files``, to
+    ``<prefix>-summary.json``; and ``svg``, a ``(curves, title)`` pair, to
+    ``<prefix>.svg``.  A name longer than the file system takes is a
+    ValueError naming what that file would have held.
+    """
+    from .budget import write_asd_csv
+    from .svgplot import write_loglog_svg
+
+    csv_paths = [Path(f"{prefix}-{tag}.csv") for tag, _, _ in csvs]
+    json_path = Path(f"{prefix}-summary.json")
+    svg_path = Path(f"{prefix}.svg")
+    json_path.parent.mkdir(parents=True, exist_ok=True)
+    limit = _name_max(json_path.parent)
+    targets = [(path, comment) for path, (_, _, comment) in zip(csv_paths, csvs)]
+    targets += [(json_path, "the summary")] if summary is not None else []
+    targets += [(svg_path, "the plot")] if svg is not None else []
+    for path, what in targets:
+        if len(os.fsencode(path.name)) > limit:
+            raise ValueError(f"file name for {what!r} is longer than {limit} bytes: {path.name!r}")
+    for path, (_, values, comment) in zip(csv_paths, csvs):
+        write_asd_csv(path, grid, values, comments=[comment])
+    if summary is not None:
+        files = {tag: path.name for path, (tag, _, _) in zip(csv_paths, csvs)}
+        _write_json(json_path, {**summary, "files": files})
+    if svg is not None:
+        curves, title = svg
+        write_loglog_svg(svg_path, curves, title=title)
+
+
 @main.command("budget")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "prefix", required=True, help="Output path prefix for emitted files.")
@@ -232,41 +267,31 @@ def _power_increase_or_none(value_db: float):
 @_lib_errors
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
-    from .budget import _band, improvement_db, write_asd_csv
+    from .budget import improvement_db
     from .config import LOW_BAND, _safe_name, load_run_config
-    from .svgplot import write_loglog_svg
 
     cfg = load_run_config(config_path)
     budgets = _budgets(cfg, dict.fromkeys([cfg.squeezer.angle_policy, "none"]))
     squeezed, reference = budgets[cfg.squeezer.angle_policy], budgets["none"]
 
-    imp = improvement_db(reference, squeezed, cfg.band)
     grid = squeezed.grid
+    imp = improvement_db(reference, squeezed, cfg.band)
     try:
-        _band(LOW_BAND, grid, "low band")
+        low = improvement_db(reference, squeezed, LOW_BAND)
     except ValueError:
         low = None  # the low band is optional: reported when the band rule accepts it
-    else:
-        low = improvement_db(reference, squeezed, LOW_BAND)
 
     if cfg.squeezer.angle_policy == "none":
         detected = 0.0
     else:
         detected = detected_db(cfg.squeezer.degraded_state())
 
-    out = _prefix_path(prefix)
-    files = {}
-
-    def _curve_file(tag: str, values, comment: str) -> str:
-        target = Path(f"{out}-{tag}.csv")
-        write_asd_csv(target, grid, values, comments=[comment])
-        files[tag] = target.name
-        return target.name
-
-    _curve_file("total", squeezed.total, f"total, squeezer as configured ({cfg.label})")
-    _curve_file("total-reference", reference.total, f"total, squeezer off ({cfg.label})")
-    for label, values in squeezed.components.items():
-        _curve_file(_safe_name(label), values, f"component {label} ({cfg.label})")
+    components = squeezed.components.items()
+    csvs = [
+        ("total", squeezed.total, f"total, squeezer as configured ({cfg.label})"),
+        ("total-reference", reference.total, f"total, squeezer off ({cfg.label})"),
+        *((_safe_name(label), values, f"component {label} ({cfg.label})") for label, values in components),
+    ]
 
     summary = {
         "label": cfg.label,
@@ -287,16 +312,13 @@ def budget_cmd(config_path, prefix, with_svg):
             "points": int(cfg.grid.points),
             "spacing": cfg.grid.spacing,
         },
-        "files": files,
     }
-    summary_path = Path(f"{out}-summary.json")
-    _write_json(summary_path, summary)
 
-    if with_svg:
-        curves = [(label, grid, values) for label, values in squeezed.components.items()]
-        curves.append(("total (squeezed)", grid, squeezed.total))
-        curves.append(("total (no squeezing)", grid, reference.total))
-        write_loglog_svg(Path(f"{out}.svg"), curves, title=cfg.label or "noise budget")
+    curves = [(label, grid, values) for label, values in components]
+    curves.append(("total (squeezed)", grid, squeezed.total))
+    curves.append(("total (no squeezing)", grid, reference.total))
+    svg = (curves, cfg.label or "noise budget") if with_svg else None
+    _write_run(prefix, grid, csvs, svg=svg, summary=summary)
 
 
 @main.command("project")
@@ -312,36 +334,22 @@ def budget_cmd(config_path, prefix, with_svg):
 @_lib_errors
 def project_cmd(config_path, mode, prefix):
     """Project quantum-noise and total curves for squeeze-angle policies."""
-    from .budget import write_asd_csv
     from .config import load_run_config
-    from .svgplot import write_loglog_svg
 
     cfg = load_run_config(config_path)
     budgets = _budgets(cfg, ANGLE_POLICIES if mode == "all" else [mode])
     first = next(iter(budgets.values()))
     grid = first.grid
 
-    out = _prefix_path(prefix)
-    curves_for_svg = [(label, grid, first.components[label]) for label, _ in cfg.components]
-
+    csvs = []
+    curves = [(label, grid, first.components[label]) for label, _ in cfg.components]
     for policy, budget in budgets.items():
         quantum = budget.components["quantum"]
-        write_asd_csv(
-            Path(f"{out}-quantum-{policy}.csv"),
-            grid,
-            quantum,
-            comments=[f"quantum noise, angle policy {policy} ({cfg.label})"],
-        )
-        write_asd_csv(
-            Path(f"{out}-total-{policy}.csv"),
-            grid,
-            budget.total,
-            comments=[f"total noise, angle policy {policy} ({cfg.label})"],
-        )
-        curves_for_svg.append((f"quantum ({policy})", grid, quantum))
-        curves_for_svg.append((f"total ({policy})", grid, budget.total))
-
-    write_loglog_svg(Path(f"{out}.svg"), curves_for_svg, title=cfg.label or "projection")
+        csvs.append((f"quantum-{policy}", quantum, f"quantum noise, angle policy {policy} ({cfg.label})"))
+        csvs.append((f"total-{policy}", budget.total, f"total noise, angle policy {policy} ({cfg.label})"))
+        curves.append((f"quantum ({policy})", grid, quantum))
+        curves.append((f"total ({policy})", grid, budget.total))
+    _write_run(prefix, grid, csvs, svg=(curves, cfg.label or "projection"))
 
 
 if __name__ == "__main__":

@@ -78,6 +78,20 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
 
 
+#: Characters outside XML 1.0 ``Char``: C0 controls but tab, LF and CR; surrogates;
+#: U+FFFE and U+FFFF.  The SVG cannot carry them, and UTF-8 cannot encode a surrogate.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _label(value, key: str) -> str:
+    """A label that reaches output files, as text made only of XML 1.0 characters."""
+    label = str(value)
+    bad = _NOT_XML_CHAR.search(label)
+    if bad:
+        raise ValueError(f"{key} holds {bad.group()!r}, which is not an XML 1.0 character")
+    return label
+
+
 def _section(raw: dict, key: str, required: bool = True) -> dict:
     value = raw.get(key)
     if value is None:
@@ -97,7 +111,7 @@ def _number(section: dict, key: str, where: str, default=None) -> float:
 
 
 def _parse_interferometer(section: dict) -> InterferometerConfig:
-    label = str(section.get("label", ""))
+    label = _label(section.get("label", ""), "interferometer.label")
     common = dict(
         arm_length=_number(section, "arm_length_m", "interferometer"),
         mirror_mass=_number(section, "mirror_mass_kg", "interferometer"),
@@ -170,7 +184,7 @@ def load_run_config(path) -> RunConfig:
     for i, entry in enumerate(raw_components):
         if not isinstance(entry, dict) or "label" not in entry or "file" not in entry:
             raise ValueError(f"components[{i}] must be an object with label and file")
-        label = str(entry["label"])
+        label = _label(entry["label"], f"components[{i}].label")
         # budget writes each component to <prefix>-<file name form>.csv next to
         # its quantum and total curves, so the rule applies to that form
         name = _safe_name(label)
@@ -191,7 +205,7 @@ def load_run_config(path) -> RunConfig:
     low, high, _ = _band(band_raw, grid.frequencies(), "band_hz")
 
     return RunConfig(
-        label=str(raw.get("label", interferometer.label)),
+        label=_label(raw.get("label", interferometer.label), "label"),
         interferometer=interferometer,
         squeezer=squeezer,
         grid=grid,

@@ -297,10 +297,11 @@ class TestEquivalentPowerIncrease:
         with pytest.raises(ValueError):
             equivalent_power_increase(-0.1)
 
-    @pytest.mark.parametrize("bad", [True, False, "3", None])
+    @pytest.mark.parametrize("bad", [True, False, "3", None, 4000.0])
     def test_rejects_non_numbers(self, bad):
-        # bool is an int subclass and float("3") parses; neither is a level in dB
-        with pytest.raises(ValueError, match="improvement must be a number"):
+        # bool is an int subclass and float("3") parses; neither is a level in dB.
+        # 4000 dB is past the injection ceiling, and 10**400 overflows a float.
+        with pytest.raises(ValueError, match=r"improvement must be (a number|in \[0, 3000\] dB)"):
             equivalent_power_increase(bad)
 
     def test_exact_form_and_monotonicity(self):

@@ -510,6 +510,63 @@ class TestBudgetCommand:
             assert table.frequencies[0] == 10.0 and table.frequencies[-1] == 10000.0
 
 
+class TestLabelsThatReachFiles:
+    """A label either reaches every file well-formed or the run writes nothing."""
+
+    @staticmethod
+    def with_label(tmp_path, configs_dir, where, label):
+        cfg = json.loads((configs_dir / "aligo.json").read_text())
+        cfg["grid"]["points"] = 50
+        cfg["components"][0]["file"] = str(configs_dir / cfg["components"][0]["file"])
+        if where == "label":
+            cfg["label"] = label
+        elif where == "interferometer.label":
+            del cfg["label"]
+            cfg["interferometer"]["label"] = label
+        else:
+            cfg["components"][0]["label"] = label
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return cfg, path
+
+    @pytest.mark.parametrize("command", [["budget", "--svg"], ["project"]], ids=["budget", "project"])
+    @pytest.mark.parametrize("where", ["label", "interferometer.label", "components[0].label"])
+    @pytest.mark.parametrize(
+        "label", ["H1\x01run", "H1\ufffe", "H1\ud800"], ids=["C0", "FFFE", "surrogate"]
+    )
+    def test_non_xml_characters_exit_2_before_any_write(
+        self, runner, configs_dir, schema_dir, tmp_path, command, where, label
+    ):
+        cfg, path = self.with_label(tmp_path, configs_dir, where, label)
+        with pytest.raises(jsonschema.ValidationError):
+            validate(schema_dir, "runconfig.schema.json", cfg)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
+        assert result.exit_code == 2, result.output
+        assert f"{where} holds" in result.output
+        assert not out.exists()
+
+    def test_too_long_component_name_exits_2_before_any_write(self, runner, configs_dir, tmp_path):
+        _, path = self.with_label(tmp_path, configs_dir, "components[0].label", "x" * 300)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["budget", str(path), "--out", str(out / "run"), "--svg"])
+        assert result.exit_code == 2, result.output
+        assert "x" * 300 in result.output and "longer than" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_project_writes_no_component_file_so_a_long_label_passes(
+        self, runner, configs_dir, tmp_path
+    ):
+        import xml.etree.ElementTree as ET
+
+        _, path = self.with_label(tmp_path, configs_dir, "components[0].label", "x" * 300)
+        result = runner.invoke(main, ["project", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        root = ET.parse(tmp_path / "run.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "x" * 300 in texts
+
+
 class TestBandRule:
     """The loader, ``budget`` and ``project`` accept the same bands and grids."""
 

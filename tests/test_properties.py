@@ -1,6 +1,7 @@
 """Property tests tying the closed-form inverses to the forward chain, the
-library, CLI and run-config paths to one domain rule per input, and the run
-config, ``budget`` and ``project`` to one band rule.
+library, CLI and run-config paths to one domain rule per input, the run
+config, ``budget`` and ``project`` to one band rule, and every label to
+well-formed output files or none.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -9,7 +10,10 @@ import copy
 import json
 import math
 import pathlib
+import shutil
+import xml.etree.ElementTree as ET
 
+import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -23,6 +27,7 @@ from sqznb import (
     PhaseNoise,
     TabulatedASD,
     fit_efficiency,
+    ingest_asd,
     load_run_config,
     mc_uncertainty,
     optimal_inject_db,
@@ -91,9 +96,8 @@ def test_first_order_sigma_matches_central_difference(inject, eta, theta, sigmas
     assert analytic == pytest.approx(central_difference_sigma(*inputs), rel=1e-6, abs=1e-9)
 
 
-H1_CONFIG = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "configs" / "h1.json").read_text()
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+H1_CONFIG = json.loads((ROOT / "configs" / "h1.json").read_text())
 
 #: Per input: its interval ends, the name the library gives it, how the library,
 #: the CLI flags and the run config take a value.  The CLI and the config read the
@@ -251,3 +255,77 @@ def test_one_band_rule_for_loader_budget_and_project(case, band_dir):
     assert accepted == (f_min <= low < high <= f_max and holds_a_point)
     flat = TabulatedASD(np.array([f_min, f_max]), np.array([1e-24, 1e-24]), "edge")
     assert np.all(resample(flat, grid) == 1e-24)
+
+
+#: Characters a label may not hold, next to ones it may: markup, line breaks, a slash.
+ODD_CHARS = "\x00\x01\x0b\x1f\t\n\r\x7f\x85\u2028\ud800\udfff\ufffe\uffff&<>\"'/ "
+
+
+#: Any code point, surrogates included, drawn without building hypothesis's
+#: Unicode table (several seconds on a fresh checkout); printable ASCII drawn more often.
+CODE_POINTS = (st.integers(0x20, 0x7E) | st.integers(0, 0x10FFFF)).map(chr)
+
+
+def label_text():
+    """Any text, text dense in odd characters, reserved names, and names near 255 bytes."""
+    return (
+        st.text(CODE_POINTS)
+        | st.text(CODE_POINTS | st.sampled_from(ODD_CHARS), max_size=12)
+        | st.sampled_from(["total", "quantum-none", "thermal", ""])
+        | st.text(st.sampled_from("ab_."), min_size=245, max_size=300)
+    )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def assert_csv_round_trips(path, grid):
+    table = ingest_asd(path)
+    assert table.frequencies.tolist() == grid.tolist()
+    rows = [line for line in path.read_text(encoding="utf-8").split("\n")[1:] if line[:1] not in ("", "#")]
+    assert rows == [f"{x!r},{y!r}" for x, y in zip(table.frequencies.tolist(), table.asd.tolist())]
+
+
+@pytest.fixture(scope="module")
+def label_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("labels")
+
+
+@settings(SETTINGS, max_examples=40)
+@given(run_label=label_text(), component_label=label_text())
+def test_every_label_gives_well_formed_files_or_none(run_label, component_label, label_dir):
+    cfg = copy.deepcopy(H1_CONFIG)
+    cfg["label"] = run_label
+    cfg["grid"]["points"] = 50
+    table = ROOT / "configs" / "aligo_thermal_synthetic.csv"
+    cfg["components"] = [{"label": component_label, "file": str(table)}]
+    path = label_dir / "config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        grid = load_run_config(path).grid.frequencies()
+    except ValueError:
+        grid = None
+
+    runner = CliRunner()
+    for command, files in ((["budget", "--svg"], 6), (["project"], 7)):
+        out = label_dir / command[0]
+        shutil.rmtree(out, ignore_errors=True)
+        result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
+        written = sorted(out.glob("*"))
+        if result.exit_code == 2:
+            # the loader rejects the config, or budget a component file name the
+            # file system cannot hold; either way before the first write
+            assert grid is None or (command[0] == "budget" and "longer than" in result.output)
+            assert written == []
+            continue
+        assert result.exit_code == 0, result.output
+        assert grid is not None and len(written) == files
+        for csv in out.glob("*.csv"):
+            assert_csv_round_trips(csv, grid)
+        ET.parse(out / "run.svg")
+        if command[0] == "budget":
+            summary = json.loads((out / "run-summary.json").read_text(), parse_constant=_reject_constant)
+            schema = json.loads((ROOT / "docs" / "schema" / "budget-summary.schema.json").read_text())
+            jsonschema.validate(summary, schema)
+            assert summary["label"] == run_label
