@@ -173,9 +173,14 @@ def write_asd_csv(path, frequencies, asd, comments=()) -> None:
     splits the file, becomes its own ``#`` line.
     """
     f, (v,) = _validated_curve(frequencies, [("ASD", asd)], min_points=2)
+    _write_csv(path, [repr(x) for x in f.tolist()], v, comments)
+
+
+def _write_csv(path, column, values, comments) -> None:
+    """Write checked ``values`` against ``column``, the grid's frequencies already in ``repr`` form."""
     lines = [ASD_CSV_HEADER]
     lines.extend(f"# {piece}" for comment in comments for piece in comment.splitlines() or [""])
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(f, v))
+    lines.extend([f"{x},{y!r}" for x, y in zip(column, values.tolist())])
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -236,7 +236,7 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     ``<prefix>.svg``.  A name longer than the file system takes is a
     ValueError naming what that file would have held.
     """
-    from .budget import write_asd_csv
+    from .budget import _validated_curve, _write_csv
     from .svgplot import write_loglog_svg
 
     csv_paths = [Path(f"{prefix}-{tag}.csv") for tag, _, _ in csvs]
@@ -250,8 +250,10 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     for path, what in targets:
         if len(os.fsencode(path.name)) > limit:
             raise ValueError(f"file name for {what!r} is longer than {limit} bytes: {path.name!r}")
-    for path, (_, values, comment) in zip(csv_paths, csvs):
-        write_asd_csv(path, grid, values, comments=[comment])
+    grid, checked = _validated_curve(grid, [(tag, values) for tag, values, _ in csvs], min_points=2)
+    column = [repr(x) for x in grid.tolist()]
+    for path, values, (_, _, comment) in zip(csv_paths, checked, csvs):
+        _write_csv(path, column, values, [comment])
     if summary is not None:
         files = {tag: path.name for path, (tag, _, _) in zip(csv_paths, csvs)}
         _write_json(json_path, {**summary, "files": files})

@@ -73,6 +73,11 @@ class RunConfig:
     band: tuple[float, float]
 
 
+#: The keys of the two larger sections, as in docs/schema/runconfig.schema.json.
+_IFO_KEYS = ("label", "arm_length_m", "mirror_mass_kg", "arm_power_w", "wavelength_m", "cavity_pole_hz", "finesse")
+_SQUEEZER_KEYS = ("inject_db", "losses", "phase_noise_mrad", "angle_policy", "fixed_angle_rad")
+
+
 def _safe_name(label: str) -> str:
     """The form of a component label used in output file names."""
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
@@ -83,23 +88,28 @@ def _safe_name(label: str) -> str:
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _label(value, key: str) -> str:
     """A label that reaches output files, as text made only of XML 1.0 characters."""
-    label = str(value)
+    label = _string(value, key)
     bad = _NOT_XML_CHAR.search(label)
     if bad:
         raise ValueError(f"{key} holds {bad.group()!r}, which is not an XML 1.0 character")
     return label
 
 
-def _section(raw: dict, key: str, required: bool = True) -> dict:
-    value = raw.get(key)
-    if value is None:
-        if required:
-            raise ValueError(f"config is missing the {key!r} section")
-        return {}
+def _object(value, where: str, keys) -> dict:
+    """``value`` as a JSON object with no key outside ``keys``, as the schema has it."""
     if not isinstance(value, dict):
-        raise ValueError(f"config section {key!r} must be an object")
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}")
     return value
 
 
@@ -136,9 +146,9 @@ def _parse_squeezer(section: dict) -> SqueezerSetup:
         raise ValueError("squeezer.losses must be a list of {label, efficiency} objects")
     elements = []
     for i, entry in enumerate(losses):
-        if not isinstance(entry, dict) or "label" not in entry or "efficiency" not in entry:
-            raise ValueError(f"squeezer.losses[{i}] must be an object with label and efficiency")
-        elements.append((str(entry["label"]), _number(entry, "efficiency", f"squeezer.losses[{i}]")))
+        where = f"squeezer.losses[{i}]"
+        entry = _object(entry, where, ("label", "efficiency"))
+        elements.append((_string(entry.get("label"), f"{where}.label"), _number(entry, "efficiency", where)))
     phase_mrad = _number(section, "phase_noise_mrad", "squeezer", 0.0)
     kwargs = {}
     if "fixed_angle_rad" in section:
@@ -169,12 +179,10 @@ def load_run_config(path) -> RunConfig:
     """
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a JSON object")
-
-    interferometer = _parse_interferometer(_section(raw, "interferometer"))
-    squeezer = _parse_squeezer(_section(raw, "squeezer", required=False))
-    grid = _parse_grid(_section(raw, "grid"))
+    _object(raw, "config", ("label", "interferometer", "squeezer", "grid", "components", "band_hz"))
+    interferometer = _parse_interferometer(_object(raw.get("interferometer"), "interferometer", _IFO_KEYS))
+    squeezer = _parse_squeezer(_object(raw.get("squeezer", {}), "squeezer", _SQUEEZER_KEYS))
+    grid = _parse_grid(_object(raw.get("grid"), "grid", ("f_min_hz", "f_max_hz", "points", "spacing")))
 
     components = []
     raw_components = raw.get("components", [])
@@ -182,9 +190,8 @@ def load_run_config(path) -> RunConfig:
         raise ValueError("components must be a list of {label, file} objects")
     seen = set()
     for i, entry in enumerate(raw_components):
-        if not isinstance(entry, dict) or "label" not in entry or "file" not in entry:
-            raise ValueError(f"components[{i}] must be an object with label and file")
-        label = _label(entry["label"], f"components[{i}].label")
+        entry = _object(entry, f"components[{i}]", ("label", "file"))
+        label = _label(entry.get("label"), f"components[{i}].label")
         # budget writes each component to <prefix>-<file name form>.csv next to
         # its quantum and total curves, so the rule applies to that form
         name = _safe_name(label)
@@ -194,7 +201,7 @@ def load_run_config(path) -> RunConfig:
                 f"components[{i}]: duplicate or reserved label {label!r} (file name {name!r})"
             )
         seen.add(name)
-        file_path = (path.parent / str(entry["file"])).resolve()
+        file_path = (path.parent / _string(entry.get("file"), f"components[{i}].file")).resolve()
         if not file_path.is_file():
             raise ValueError(f"components[{i}]: file not found: {file_path}")
         components.append((label, str(file_path)))

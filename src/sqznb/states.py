@@ -58,7 +58,10 @@ def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str 
     rejected.  ``unit`` follows the interval in the message.
     """
     if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range, such as a 400-digit JSON number
+            x = math.inf
         if (
             math.isfinite(x)
             and (ge is None or x >= ge)

@@ -6,9 +6,12 @@ identical inputs.
 
 from __future__ import annotations
 
-import math
 from html import escape
+from itertools import cycle
+from math import ceil, floor, log10
 from pathlib import Path
+
+import numpy as np
 
 from .budget import _validated_curve
 
@@ -23,30 +26,25 @@ WIDTH, HEIGHT = 960, 620
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 
 
-def _decade_floor(x: float) -> int:
-    return int(math.floor(math.log10(x)))
-
-
-def _decade_ceil(x: float) -> int:
-    return int(math.ceil(math.log10(x)))
-
-
 def write_loglog_svg(path, curves, *, title=""):
     """Write a log-log ASD-against-frequency plot; ``curves`` is a list of (label, x, y).
 
-    Each curve must pass the package's frequency-curve check.
+    Each curve must pass the package's frequency-curve check.  Consecutive
+    curves on equal frequencies share one check and one row of x pixels.
     """
     if not curves:
         raise ValueError("need at least one curve")
-    checked = []
+    groups = []
     for label, x, y in curves:
-        xs, (ys,) = _validated_curve(x, [(f"curve {label!r}", y)])
-        checked.append((label, xs, ys))
+        if not groups or not np.array_equal(groups[-1][0], x):
+            groups.append((x, []))
+        groups[-1][1].append((f"curve {label!r}", y))
+    checked = [_validated_curve(x, named) for x, named in groups]
 
-    x0 = _decade_floor(min(x[0] for _, x, _ in checked))
-    x1 = _decade_ceil(max(x[-1] for _, x, _ in checked))
-    y0 = _decade_floor(min(y.min() for _, _, y in checked))
-    y1 = _decade_ceil(max(y.max() for _, _, y in checked))
+    x0 = floor(log10(min(xs[0] for xs, _ in checked)))
+    x1 = ceil(log10(max(xs[-1] for xs, _ in checked)))
+    y0 = floor(log10(min(y.min() for _, ys in checked for y in ys)))
+    y1 = ceil(log10(max(y.max() for _, ys in checked for y in ys)))
     if x1 == x0:
         x1 += 1
     if y1 == y0:
@@ -55,11 +53,11 @@ def write_loglog_svg(path, curves, *, title=""):
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x):
-        return MARGIN_L + (math.log10(x) - x0) / (x1 - x0) * plot_w
+    def px(xs):
+        return [MARGIN_L + (log10(x) - x0) / (x1 - x0) * plot_w for x in xs]
 
-    def py(y):
-        return MARGIN_T + plot_h - (math.log10(y) - y0) / (y1 - y0) * plot_h
+    def py(ys):
+        return [MARGIN_T + plot_h - (log10(y) - y0) / (y1 - y0) * plot_h for y in ys]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -69,8 +67,7 @@ def write_loglog_svg(path, curves, *, title=""):
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
 
-    for d in range(x0, x1 + 1):
-        gx = px(10.0**d)
+    for d, gx in zip(range(x0, x1 + 1), px([10.0**d for d in range(x0, x1 + 1)])):
         if d not in (x0,):
             parts.append(
                 f'<line x1="{gx:.2f}" y1="{MARGIN_T}" x2="{gx:.2f}" y2="{MARGIN_T + plot_h}" '
@@ -80,8 +77,7 @@ def write_loglog_svg(path, curves, *, title=""):
             f'<text x="{gx:.2f}" y="{MARGIN_T + plot_h + 20}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif">{10.0 ** d:g}</text>'
         )
-    for d in range(y0, y1 + 1):
-        gy = py(10.0**d)
+    for d, gy in zip(range(y0, y1 + 1), py([10.0**d for d in range(y0, y1 + 1)])):
         if d not in (y0,):
             parts.append(
                 f'<line x1="{MARGIN_L}" y1="{gy:.2f}" x2="{MARGIN_L + plot_w}" y2="{gy:.2f}" '
@@ -92,12 +88,14 @@ def write_loglog_svg(path, curves, *, title=""):
             f'text-anchor="end" font-family="sans-serif">{10.0 ** d:g}</text>'
         )
 
-    for i, (label, x, y) in enumerate(checked):
-        color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x.tolist(), y.tolist()))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>'
-        )
+    colors = cycle(PALETTE)
+    for xs, ys in checked:
+        column = [f"{x:.2f}" for x in px(xs.tolist())]
+        for y in ys:
+            points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(y.tolist()))])
+            parts.append(
+                f'<polyline fill="none" stroke="{next(colors)}" stroke-width="1.6" points="{points}"/>'
+            )
 
     legend_x = MARGIN_L + plot_w - 230
     legend_y = MARGIN_T + 14

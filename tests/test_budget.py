@@ -180,6 +180,60 @@ def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path)
     assert not (tmp_path / "bad.svg").exists()
 
 
+def polylines(path):
+    import xml.etree.ElementTree as ET
+
+    tree = ET.parse(path)
+    return [el.get("points") for el in tree.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+class TestSvgGridReuse:
+    """Curves on equal frequencies share one row of x pixels; the bytes do not depend on it."""
+
+    GRID = np.logspace(1, 4, 60)
+    OTHER = np.logspace(1.5, 3.5, 60)  # another grid of the same length
+
+    @staticmethod
+    def values(seed):
+        return 10.0 ** np.random.default_rng(seed).uniform(-24, -20, 60)
+
+    def test_equal_grids_give_the_bytes_of_one_shared_grid(self, tmp_path):
+        from sqznb.svgplot import write_loglog_svg
+
+        ys = [self.values(seed) for seed in range(3)]
+        write_loglog_svg(tmp_path / "shared.svg", [(f"c{i}", self.GRID, y) for i, y in enumerate(ys)])
+        copies = [(f"c{i}", self.GRID.copy().tolist() if i == 1 else self.GRID.copy(), y)
+                  for i, y in enumerate(ys)]
+        write_loglog_svg(tmp_path / "copies.svg", copies)
+        assert (tmp_path / "shared.svg").read_bytes() == (tmp_path / "copies.svg").read_bytes()
+
+    def test_points_do_not_depend_on_the_order_of_two_grids(self, tmp_path):
+        from sqznb.svgplot import write_loglog_svg
+
+        curves = [("a", self.GRID, self.values(1)), ("b", self.GRID, self.values(2)),
+                  ("c", self.OTHER, self.values(3)), ("d", self.OTHER, self.values(4))]
+        write_loglog_svg(tmp_path / "forward.svg", curves)
+        write_loglog_svg(tmp_path / "reverse.svg", curves[::-1])
+        forward = polylines(tmp_path / "forward.svg")
+        assert forward == polylines(tmp_path / "reverse.svg")[::-1]
+        assert len(set(forward)) == 4
+
+    def test_points_match_the_per_point_formula(self, tmp_path):
+        from sqznb.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, write_loglog_svg
+
+        # x spans decades 1..4 and y decades -24..-20, the axis ends of the plot
+        y = np.concatenate([[1e-24], self.values(5)[1:-1], [1e-20]])
+        write_loglog_svg(tmp_path / "one.svg", [("a", self.GRID, y), ("b", self.OTHER, y)])
+        plot_w, plot_h = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+        for grid, points in zip((self.GRID, self.OTHER), polylines(tmp_path / "one.svg")):
+            want = " ".join(
+                f"{MARGIN_L + (math.log10(fx) - 1) / 3 * plot_w:.2f},"
+                f"{MARGIN_T + plot_h - (math.log10(fy) + 24) / 4 * plot_h:.2f}"
+                for fx, fy in zip(grid.tolist(), y.tolist())
+            )
+            assert points == want
+
+
 class TestImprovement:
     GRID = np.logspace(1, 4, 300)
 

@@ -567,6 +567,80 @@ class TestLabelsThatReachFiles:
         assert "x" * 300 in texts
 
 
+class TestConfigKeysAndTypes:
+    """The loader rejects, with exit 2 and a message naming the key, what the schema rejects."""
+
+    CASES = {
+        "misspelt-phase-noise": (
+            lambda cfg: cfg["squeezer"].update(phase_mrad=cfg["squeezer"].pop("phase_noise_mrad")),
+            "squeezer has unknown key 'phase_mrad'",
+        ),
+        "misspelt-band": (
+            lambda cfg: cfg.update(band=cfg.pop("band_hz")),
+            "config has unknown key 'band'",
+        ),
+        "numeric-label": (lambda cfg: cfg.update(label=7), "label must be a string, got 7"),
+        "numeric-loss-label": (
+            lambda cfg: cfg["squeezer"]["losses"][0].update(label=1),
+            "squeezer.losses[0].label must be a string, got 1",
+        ),
+        "null-squeezer": (lambda cfg: cfg.update(squeezer=None), "squeezer must be an object, got None"),
+        "null-label": (lambda cfg: cfg.update(label=None), "label must be a string, got None"),
+        "extra-loss-key": (
+            lambda cfg: cfg["squeezer"]["losses"][0].update(loss=0.1),
+            "squeezer.losses[0] has unknown key 'loss'",
+        ),
+        "extra-component-key": (
+            lambda cfg: cfg["components"][0].update(scale=2.0),
+            "components[0] has unknown key 'scale'",
+        ),
+        "numeric-component-file": (
+            lambda cfg: cfg["components"][0].update(file=3),
+            "components[0].file must be a string, got 3",
+        ),
+        "pole-and-finesse": (
+            lambda cfg: cfg["interferometer"].update(finesse=450.0),
+            "give cavity_pole_hz or finesse, not both",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_schema_and_loader_both_reject(self, runner, configs_dir, schema_dir, tmp_path, case):
+        mutate, message = self.CASES[case]
+        cfg = json.loads((configs_dir / "aligo.json").read_text())
+        cfg["components"][0]["file"] = str(configs_dir / cfg["components"][0]["file"])
+        mutate(cfg)
+        with pytest.raises(jsonschema.ValidationError):
+            validate(schema_dir, "runconfig.schema.json", cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["budget", str(path), "--out", str(out / "run"), "--svg"])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_integer_past_the_float_range_exits_2(self, runner, configs_dir, tmp_path):
+        # JSON has no size limit on integers; float() of a 400-digit one overflows
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["interferometer"]["arm_length_m"] = 10**400
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "interferometer.arm_length_m must be finite" in result.output
+
+    def test_neither_pole_nor_finesse_fails_schema_and_loader(self, configs_dir, schema_dir, tmp_path):
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        del cfg["interferometer"]["finesse"]
+        with pytest.raises(jsonschema.ValidationError):
+            validate(schema_dir, "runconfig.schema.json", cfg)
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match="cavity_pole_hz"):
+            load_run_config(path)
+
+
 class TestBandRule:
     """The loader, ``budget`` and ``project`` accept the same bands and grids."""
 
@@ -733,6 +807,68 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["detected_db"] == pytest.approx(2.2108, abs=0.001)
+
+
+def test_run_csvs_are_the_bytes_of_write_asd_csv(tmp_path):
+    from sqznb import write_asd_csv
+    from sqznb.cli import _write_run
+
+    rng = np.random.default_rng(12)
+    grid = np.cumsum(rng.uniform(0.1, 50.0, 300))
+    csvs = [(f"c{i}", 10.0 ** rng.uniform(-24, -20, 300), f"curve {i}\nsecond line") for i in range(3)]
+    _write_run(str(tmp_path / "run" / "r"), grid, csvs)
+    for tag, values, comment in csvs:
+        write_asd_csv(tmp_path / f"{tag}.csv", grid, values, comments=[comment])
+        assert (tmp_path / "run" / f"r-{tag}.csv").read_bytes() == (tmp_path / f"{tag}.csv").read_bytes()
+
+
+#: sha256 of every file three shipped runs write, with ``--out <dir>/run``.  Taken
+#: before the writers formatted a run's grid once; a writer that changes a single
+#: byte of any file fails here, where a run-against-run comparison cannot.  The
+#: curves' last bits come from numpy (2.4 here), so a numpy upgrade may move them.
+PINNED_SHA256 = {
+    "budget-h1": {
+        "run-quantum.csv": "a3897838ea3328c453193f1a8b9c033726bef538271b829bcbad0da70e2db8f2",
+        "run-summary.json": "ba61f9cb77c64d23056da6b1bf7347471fe34b5f8fca48b15948436934da05bc",
+        "run-total-reference.csv": "8f38b69c548691487740f819017445d1820cba0e6eff2184bc0dafe201e2ae3c",
+        "run-total.csv": "09df7b471fef114f429eac393b8342104943e47d8efe64966b3318dc4c633653",
+        "run.svg": "f9c9160d58c57786aa443e8975a6dc465d5ed9df061a0729219a1aaffbfd2f24",
+    },
+    "budget-aligo": {
+        "run-quantum.csv": "a7d7b78ef06e2ba3f7165862bb60d58a4cbee623dacce6ddc584a82c13e20a5d",
+        "run-summary.json": "49f521b9eed9c289242f42f55c9b42cc637053a5413fbe83bc755b0a0a53941c",
+        "run-thermal.csv": "98f101afcd5dffcb681d426530b203cdd567d2da54b7cfa831e95b0626d9971a",
+        "run-total-reference.csv": "156a4ff895e41cbb2de69a3879615900ae19a515a4249909f53e451a98abe168",
+        "run-total.csv": "dc882824a9c287a6224d5bea587bdf859590a995a2387f74e24e617890c69d8a",
+        "run.svg": "5c43d2cb0434213bc6a25fc7598d0513943a7c15b719e5e7d1f89f809a83fff0",
+    },
+    "project-aligo": {
+        "run-quantum-fd-optimal.csv": "0cd30e58ed6a18c514de0dac8e020105633f0cfb866d9b29abe1ed772dd55108",
+        "run-quantum-fixed.csv": "b6e13097fabcb3f5b77520a33aaffe2b32244719e4c7fee378757487a6c1a7b0",
+        "run-quantum-none.csv": "fff6232e570502b65bc16eaac206777285c636868c2588067833d2dc01b175d2",
+        "run-total-fd-optimal.csv": "c4b350e63d947becd8675f43d90a82ec91802e390dc8274f812696c9e1b8c4e0",
+        "run-total-fixed.csv": "735e898ea01dc93510aba9613d73e373974ddeeb59b15eb66a936737a944b60d",
+        "run-total-none.csv": "891e17cf748db1907eb40e47fe231aee92eb574065c2803ae81b1ea926c920a1",
+        "run.svg": "1467b4574c8e13c06c3b516ac1e58958abadad9de62ad171167f38b91892713c",
+    },
+}
+PINNED_RUNS = {
+    "budget-h1": ["budget", "h1.json", "--svg"],
+    "budget-aligo": ["budget", "aligo.json", "--svg"],
+    "project-aligo": ["project", "aligo.json"],
+}
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS)
+def test_shipped_runs_write_the_pinned_bytes(runner, configs_dir, tmp_path, run):
+    import hashlib
+
+    command, config, *flags = PINNED_RUNS[run]
+    args = [command, str(configs_dir / config), "--out", str(tmp_path / "run"), *flags]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == PINNED_SHA256[run]
 
 
 def test_cli_import_loads_neither_scipy_nor_threads():

@@ -1,7 +1,7 @@
 """Property tests tying the closed-form inverses to the forward chain, the
 library, CLI and run-config paths to one domain rule per input, the run
-config, ``budget`` and ``project`` to one band rule, and every label to
-well-formed output files or none.
+config, ``budget`` and ``project`` to one band rule, every label to
+well-formed output files or none, and the run-config loader to its schema.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -10,6 +10,7 @@ import copy
 import json
 import math
 import pathlib
+import re
 import shutil
 import xml.etree.ElementTree as ET
 
@@ -329,3 +330,126 @@ def test_every_label_gives_well_formed_files_or_none(run_label, component_label,
             schema = json.loads((ROOT / "docs" / "schema" / "budget-summary.schema.json").read_text())
             jsonschema.validate(summary, schema)
             assert summary["label"] == run_label
+
+
+RUNCONFIG_SCHEMA = json.loads((ROOT / "docs" / "schema" / "runconfig.schema.json").read_text())
+ALIGO_CONFIG = json.loads((ROOT / "configs" / "aligo.json").read_text())
+ALIGO_CONFIG["components"][0]["file"] = str(ROOT / "configs" / ALIGO_CONFIG["components"][0]["file"])
+
+
+def schema_nodes(node, path=()):
+    """``(path, schema node)`` for the root and every property and item below it."""
+    if "$ref" in node:
+        node = RUNCONFIG_SCHEMA["definitions"][node["$ref"].rsplit("/", 1)[1]]
+    yield path, node
+    for key, child in node.get("properties", {}).items():
+        yield from schema_nodes(child, (*path, key))
+    if "items" in node:
+        yield from schema_nodes(node["items"], (*path, "[]"))
+
+
+SCHEMA_AT = dict(schema_nodes(RUNCONFIG_SCHEMA))
+
+#: Every key the schema names anywhere, and near misses of them, as keys in the wrong place.
+KEY_NAMES = sorted({p[-1] for p in SCHEMA_AT if p and p[-1] != "[]"}) + [
+    "phase_mrad", "band", "Label", "points ", "", "cavity_pole", "efficiency_", "files",
+]
+
+#: JSON values of every type.
+JSON_VALUES = [None, True, False, 0, 1, -1, 2.5, 1e308, "", "fixed", "log", [], [400.0, 3000.0], {}]
+
+
+def config_slots(value, path=()):
+    """``(schema path, container, key or index)`` of every value below ``value``."""
+    if isinstance(value, dict):
+        children = [(key, key, child) for key, child in value.items()]
+    elif isinstance(value, list):
+        children = [("[]", i, child) for i, child in enumerate(value)]
+    else:
+        children = []
+    for step, slot, child in children:
+        yield (*path, step), value, slot
+        yield from config_slots(child, (*path, step))
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def bound_values(node):
+    """Each bound of a schema number, its float neighbours and a step past it, plus
+    zero, a negative and integers past the float range."""
+    values = [0, -0.0, -1.0, 10**400, -(10**400)]
+    for key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+        if key in node:
+            end = node[key]
+            values += [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf), end - 1, end + 1]
+    if node.get("type") == "integer":
+        values += [2.0, 2.5]
+    return values
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one to three of: a key the schema does not name where it is
+    put, a value of another JSON type, a null, a number at or past a bound, a deleted key."""
+    cfg = copy.deepcopy(draw(st.sampled_from([H1_CONFIG, ALIGO_CONFIG])))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["unknown key", "other type", "null", "bound", "delete"]))
+        slots = list(config_slots(cfg))
+        if kind == "unknown key":
+            objects = [((), cfg)] + [(p, c[s]) for p, c, s in slots if isinstance(c[s], dict)]
+            path, obj = draw(st.sampled_from(objects))
+            key = draw(st.sampled_from(KEY_NAMES) | st.text(max_size=6))
+            assume(key not in SCHEMA_AT.get(path, {}).get("properties", {}))
+            obj[key] = draw(st.sampled_from(JSON_VALUES))
+            continue
+        if kind == "bound":
+            slots = [(p, c, s) for p, c, s in slots if is_number(c[s])]
+        path, container, slot = draw(st.sampled_from(slots))
+        if kind == "delete":
+            del container[slot]
+        elif kind == "bound":
+            container[slot] = draw(st.sampled_from(bound_values(SCHEMA_AT.get(path, {}))))
+        else:
+            container[slot] = None if kind == "null" else draw(st.sampled_from(JSON_VALUES))
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("schema") / "config.json"
+
+
+@settings(SETTINGS, max_examples=300)
+@given(cfg=mutated_configs())
+def test_loader_accepts_only_what_the_schema_accepts(cfg, config_file):
+    """A config the loader accepts validates against the schema; so one the schema rejects
+    makes the loader raise ValueError (exit 2), and never another exception."""
+    config_file.write_text(json.dumps(cfg))
+    try:
+        load_run_config(config_file)
+    except ValueError:
+        return
+    jsonschema.validate(cfg, RUNCONFIG_SCHEMA)
+
+
+#: Schema paths of the config's objects; ALIGO_CONFIG holds one of each, lists at index 0.
+OBJECT_PATHS = [path for path, node in SCHEMA_AT.items() if "properties" in node]
+
+
+@pytest.mark.parametrize("path", OBJECT_PATHS, ids=lambda path: ".".join(path) or "root")
+def test_keys_the_schema_does_not_name_are_rejected(path, config_file):
+    for key in KEY_NAMES:
+        if key in SCHEMA_AT[path]["properties"]:
+            continue
+        cfg = copy.deepcopy(ALIGO_CONFIG)
+        obj = cfg
+        for step in path:
+            obj = obj[0 if step == "[]" else step]
+        obj[key] = 1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, RUNCONFIG_SCHEMA)
+        config_file.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=f"has unknown key {re.escape(repr(key))}"):
+            load_run_config(config_file)
