@@ -60,28 +60,34 @@ class AsdFileError(ValueError):
 def _validated_curve(frequencies, curves=(), *, min_points=1):
     """The rule for a frequency curve: return the frequencies and values as float arrays.
 
-    The frequencies must form a 1-d array of at least ``min_points``
+    The frequencies must form a 1-d array of at least ``min_points`` (≥ 1)
     positive, finite, strictly increasing values, else ValueError.  Each
     ``(name, values)`` pair in ``curves`` must have the same shape, else
     ValueError, and positive finite values, else NumericalRangeError naming
     the first bad frequency.
+
+    Each test is one pass of comparisons, which NaN fails: a grid passes
+    when ``f[0] > 0``, ``f[-1] < inf`` and every neighbour increases (so
+    every point is positive and finite), and values pass when their min is
+    positive and their max finite.  Only a failed test runs the
+    per-element diagnostics that pick the message and the bad frequency.
     """
     f = np.asarray(frequencies, dtype=float)
     if f.ndim != 1:
         raise ValueError(f"frequencies must be a 1-d array, got shape {f.shape}")
     if f.size < min_points:
         raise ValueError(f"need at least {min_points} frequency points, got {f.size}")
-    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-        raise ValueError("frequencies must be positive and finite")
-    if np.any(np.diff(f) <= 0.0):
+    if not (f[0] > 0.0 and f[-1] < math.inf and (f[1:] > f[:-1]).all()):
+        if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
+            raise ValueError("frequencies must be positive and finite")
         raise ValueError("frequencies must be strictly increasing")
     checked = []
     for name, values in curves:
         v = np.asarray(values, dtype=float)
         if v.shape != f.shape:
             raise ValueError(f"{name} has shape {v.shape} but the frequency grid has {f.shape}")
-        bad = ~(np.isfinite(v) & (v > 0.0))
-        if bad.any():
+        if not (v.min() > 0.0 and v.max() < math.inf):
+            bad = ~(np.isfinite(v) & (v > 0.0))
             f_bad = float(f[int(np.argmax(bad))])
             raise NumericalRangeError(
                 f"{name} is not a positive finite number at {f_bad} Hz", frequency=f_bad
@@ -194,9 +200,8 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
     g, _ = _validated_curve(grid)
     lo = table.frequencies[0]
     hi = table.frequencies[-1]
-    outside = (g < lo) | (g > hi)
-    if outside.any():
-        f_bad = float(g[outside][0])
+    if g[0] < lo or g[-1] > hi:  # g is increasing, so its ends decide
+        f_bad = float(g[(g < lo) | (g > hi)][0])
         raise ValueError(
             f"cannot resample {table.label!r}: {f_bad} Hz is outside the tabulated span "
             f"[{lo} Hz, {hi} Hz]"

@@ -45,7 +45,8 @@ class GridSpec:
         object.__setattr__(self, "points", as_whole_number(self.points, "points", ge=2))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if np.any(np.diff(self.frequencies()) <= 0.0):
+        f = self.frequencies()
+        if not (f[1:] > f[:-1]).all():
             raise ValueError(
                 f"grid [{self.f_min}, {self.f_max}] is too narrow for {self.points} "
                 "strictly increasing points"

@@ -10,11 +10,15 @@ from sqznb import (
     AsdFileError,
     GridSpec,
     NoiseBudget,
+    NumericalRangeError,
+    QuantumNoiseCurve,
+    SqueezerSetup,
     TabulatedASD,
     compose,
     equivalent_power_increase,
     improvement_db,
     ingest_asd,
+    quantum_noise_asd,
     resample,
     write_asd_csv,
 )
@@ -121,6 +125,17 @@ class TestResample:
         with pytest.raises(ValueError, match="outside the tabulated span"):
             resample(self.table(), np.array([401.0]))
 
+    def test_both_ends_outside_names_the_first_grid_point(self):
+        with pytest.raises(ValueError) as info:
+            resample(self.table(), np.array([50.0, 200.0, 500.0]))
+        assert str(info.value) == (
+            "cannot resample 'powerlaw': 50.0 Hz is outside the tabulated span [100.0 Hz, 400.0 Hz]"
+        )
+
+    def test_high_end_outside_names_its_first_point_past_the_span(self):
+        with pytest.raises(ValueError, match=r": 450\.0 Hz is outside"):
+            resample(self.table(), np.array([100.0, 400.0, 450.0, 500.0]))
+
     def test_monotone_between_knots(self):
         out = resample(self.table(), np.linspace(100.0, 400.0, 200))
         assert np.all(np.diff(out) < 0)
@@ -178,6 +193,82 @@ def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path)
     with pytest.raises(ValueError, match="curve 'a'"):
         write_loglog_svg(tmp_path / "bad.svg", [("a", [1.0, 10.0, 100.0], [1.0, 2.0])])
     assert not (tmp_path / "bad.svg").exists()
+
+
+POSITIVE = "frequencies must be positive and finite"
+INCREASING = "frequencies must be strictly increasing"
+NAN, INF = math.nan, math.inf
+
+
+class TestCurveCheckAtEveryEntryPoint:
+    """Each public door to the curve check gives the same exception, message and frequency."""
+
+    VALUES = [1e-23, 2e-23, 3e-23, 4e-23]
+
+    @staticmethod
+    def entries(tmp_path, config):
+        """name -> (min_points, call(frequencies, values), curve name or None, file written or None)."""
+        table = TabulatedASD(np.array([1.0, 1000.0]), np.array([1e-22, 1e-24]), "wide")
+        from sqznb.svgplot import write_loglog_svg
+
+        return {
+            "TabulatedASD": (2, lambda f, v: TabulatedASD(f, v, "t"), "ASD 't'", None),
+            "resample": (1, lambda f, v: resample(table, f), None, None),
+            "compose": (1, lambda f, v: compose(f, [("a", v)]), "component 'a'", None),
+            "NoiseBudget": (1, lambda f, v: NoiseBudget(f, {"a": v}), "component 'a'", None),
+            "quantum_noise_asd": (1, lambda f, v: quantum_noise_asd(config, SqueezerSetup(), f),
+                                  None, None),
+            "QuantumNoiseCurve": (1, lambda f, v: QuantumNoiseCurve(f, v, config, SqueezerSetup()),
+                                  "quantum noise ASD", None),
+            "write_asd_csv": (2, lambda f, v: write_asd_csv(tmp_path / "t.csv", f, v), "ASD",
+                              tmp_path / "t.csv"),
+            "write_loglog_svg": (1, lambda f, v: write_loglog_svg(tmp_path / "t.svg", [("a", f, v)]),
+                                 "curve 'a'", tmp_path / "t.svg"),
+        }
+
+    ENTRIES = ["TabulatedASD", "resample", "compose", "NoiseBudget", "quantum_noise_asd",
+               "QuantumNoiseCurve", "write_asd_csv", "write_loglog_svg"]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            pytest.param([NAN, 20.0, 30.0, 40.0], POSITIVE, id="nan-first"),
+            pytest.param([10.0, NAN, 30.0, 40.0], POSITIVE, id="nan-middle"),
+            pytest.param([10.0, 20.0, 30.0, NAN], POSITIVE, id="nan-last"),
+            pytest.param([10.0, 20.0, 30.0, INF], POSITIVE, id="inf"),
+            pytest.param([-INF, 20.0, 30.0, 40.0], POSITIVE, id="minus-inf"),
+            pytest.param([0.0, 20.0, 30.0, 40.0], POSITIVE, id="zero"),
+            pytest.param([-0.0, 20.0, 30.0, 40.0], POSITIVE, id="minus-zero"),
+            pytest.param([10.0, -20.0, 30.0, 40.0], POSITIVE, id="negative"),
+            pytest.param([10.0, 20.0, 20.0, 40.0], INCREASING, id="equal-neighbours"),
+            pytest.param([10.0, 30.0, 20.0, 40.0], INCREASING, id="decreasing-step"),
+            pytest.param([10.0, 30.0, 20.0, NAN], POSITIVE, id="decreasing-and-nan"),
+            pytest.param([NAN], POSITIVE, id="one-point-nan"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_bad_frequencies(self, tmp_path, aligo_like, entry, grid, message):
+        min_points, call, _, written = self.entries(tmp_path, aligo_like)[entry]
+        if len(grid) < min_points:
+            message = f"need at least {min_points} frequency points, got {len(grid)}"
+        values = self.VALUES[: len(grid)]
+        with pytest.raises(ValueError) as info:
+            call(np.array(grid), np.array(values))
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+        assert written is None or not written.exists()
+
+    @pytest.mark.parametrize("bad", [NAN, INF, 0.0, -0.0], ids=["nan", "inf", "zero", "minus-zero"])
+    @pytest.mark.parametrize("entry", [e for e in ENTRIES if e not in ("resample", "quantum_noise_asd")])
+    def test_bad_value_names_its_frequency(self, tmp_path, aligo_like, entry, bad):
+        _, call, name, written = self.entries(tmp_path, aligo_like)[entry]
+        values = list(self.VALUES)
+        values[1] = bad
+        with pytest.raises(NumericalRangeError) as info:
+            call(np.array([10.0, 20.0, 30.0, 40.0]), np.array(values))
+        assert str(info.value) == f"{name} is not a positive finite number at 20.0 Hz"
+        assert info.value.frequency == 20.0
+        assert written is None or not written.exists()
 
 
 def polylines(path):

@@ -25,6 +25,7 @@ from sqznb import (
     ASD_CSV_HEADER,
     GridSpec,
     MeasurementWithUncertainty,
+    NumericalRangeError,
     PhaseNoise,
     TabulatedASD,
     fit_efficiency,
@@ -453,3 +454,75 @@ def test_keys_the_schema_does_not_name_are_rejected(path, config_file):
         config_file.write_text(json.dumps(cfg))
         with pytest.raises(ValueError, match=f"has unknown key {re.escape(repr(key))}"):
             load_run_config(config_file)
+
+
+def _curve_check_before_one_pass(frequencies, curves=(), *, min_points=1):
+    """The curve check as written before its one-pass form: the oracle below."""
+    f = np.asarray(frequencies, dtype=float)
+    if f.ndim != 1:
+        raise ValueError(f"frequencies must be a 1-d array, got shape {f.shape}")
+    if f.size < min_points:
+        raise ValueError(f"need at least {min_points} frequency points, got {f.size}")
+    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
+        raise ValueError("frequencies must be positive and finite")
+    if np.any(np.diff(f) <= 0.0):
+        raise ValueError("frequencies must be strictly increasing")
+    checked = []
+    for name, values in curves:
+        v = np.asarray(values, dtype=float)
+        if v.shape != f.shape:
+            raise ValueError(f"{name} has shape {v.shape} but the frequency grid has {f.shape}")
+        bad = ~(np.isfinite(v) & (v > 0.0))
+        if bad.any():
+            f_bad = float(f[int(np.argmax(bad))])
+            raise NumericalRangeError(
+                f"{name} is not a positive finite number at {f_bad} Hz", frequency=f_bad
+            )
+        checked.append(v)
+    return f, checked
+
+
+#: Values the check treats specially, plus the smallest subnormal and a huge finite value.
+CURVE_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308]
+
+
+@st.composite
+def sorted_with_defects(draw, size):
+    """Sorted floats, distinct, positive and finite in three draws of four, then specials or
+    duplicates put in place."""
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    if draw(st.booleans()) or draw(st.booleans()):
+        floats = floats.filter(lambda x: math.isfinite(x) and x != 0.0).map(abs)
+    xs = draw(st.lists(floats, min_size=size, max_size=size, unique=True))
+    xs = np.sort(np.array(xs)).tolist()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, size - 1))
+        xs[i] = xs[i - 1] if i and draw(st.booleans()) else draw(st.sampled_from(CURVE_SPECIALS))
+    return xs
+
+
+def _outcome(check, frequencies, curves, min_points):
+    try:
+        f, values = check(np.array(frequencies), curves, min_points=min_points)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "frequency", None)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (f, *values)]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_one_pass_curve_check_matches_the_per_element_rule(data):
+    """Accept or reject, exception type, message, ``.frequency`` and the returned bytes all
+    equal those of the per-element rule it replaced."""
+    from sqznb.budget import _validated_curve
+
+    size = data.draw(st.integers(1, 8))
+    frequencies = data.draw(sorted_with_defects(size))
+    curves = [
+        (f"curve {k}", np.array(data.draw(sorted_with_defects(size))))
+        for k in range(data.draw(st.integers(0, 2)))
+    ]
+    min_points = data.draw(st.integers(1, 2))
+    assert _outcome(_validated_curve, frequencies, curves, min_points) == _outcome(
+        _curve_check_before_one_pass, frequencies, curves, min_points
+    )
