@@ -14,7 +14,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-#: Submodule -> the public names it provides.
+#: Submodule -> the public names it provides; each submodule's ``__all__`` is read from here.
 _PROVIDERS = {
     "budget": (
         "ASD_CSV_HEADER",

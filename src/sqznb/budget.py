@@ -7,14 +7,14 @@ contract (also what the CLI emits):
     10.0,2.1e-22
     ...
 
-The header line must match exactly, rows are two decimal floating-point
-fields joined by a single comma, lines starting with ``#`` are comments,
-blank lines are ignored, encoding is UTF-8, and both LF and CRLF line ends
-are accepted.  Written floats use ``repr`` so a read-back reproduces them
-bit-exactly.
+The header line must match exactly, rows are two ASCII decimal
+floating-point fields joined by a single comma, lines starting with ``#``
+are comments, blank lines are ignored, encoding is UTF-8, and both LF and
+CRLF line ends are accepted.  Written floats use ``repr`` so a read-back
+reproduces them bit-exactly, and a write that fails leaves no file.
 
-Every frequency curve in the package, tabulated, computed or plotted, is
-checked by ``_validated_curve`` alone.
+Every frequency curve, tabulated, computed or plotted, passes ``_validated_curve``;
+``ingest_asd`` also applies its rule row by row, to name the bad line.
 
 Independent noises add in power, so the total of a budget is the
 point-wise root-sum-square of its component ASDs.
@@ -28,22 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _PROVIDERS
 from .states import MAX_INJECT_DB, NumericalRangeError, as_float
 
-__all__ = [
-    "ASD_CSV_HEADER",
-    "AsdFileError",
-    "NumericalRangeError",
-    "TabulatedASD",
-    "NoiseBudget",
-    "BandImprovement",
-    "ingest_asd",
-    "write_asd_csv",
-    "resample",
-    "compose",
-    "improvement_db",
-    "equivalent_power_increase",
-]
+__all__ = list(_PROVIDERS["budget"])
 
 ASD_CSV_HEADER = "frequency_hz,asd_strain_per_sqrt_hz"
 
@@ -146,8 +134,9 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
         if len(fields) != 2:
             raise AsdFileError(path, lineno, f"expected 2 comma-separated fields, got {len(fields)}")
         try:
-            freq = float(fields[0])
-            value = float(fields[1])
+            if "_" in raw or not raw.isascii():  # float() takes 1_0 and non-ASCII digits
+                raise ValueError(raw)
+            freq, value = float(fields[0]), float(fields[1])
         except ValueError:
             raise AsdFileError(path, lineno, f"unparseable number in row {line!r}") from None
         if not (math.isfinite(freq) and freq > 0.0):
@@ -187,7 +176,7 @@ def _write_csv(path, column, values, comments) -> None:
     lines = [ASD_CSV_HEADER]
     lines.extend(f"# {piece}" for comment in comments for piece in comment.splitlines() or [""])
     lines.extend([f"{x},{y!r}" for x, y in zip(column, values.tolist())])
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def resample(table: TabulatedASD, grid) -> np.ndarray:

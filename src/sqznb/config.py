@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _PROVIDERS
 from .budget import _band
 from .interferometer import InterferometerConfig, SqueezerSetup
 from .states import LossChain, PhaseNoise, as_float, as_whole_number
 
-__all__ = ["GridSpec", "RunConfig", "load_run_config", "DEFAULT_BAND", "LOW_BAND"]
+__all__ = list(_PROVIDERS["config"])
 
 #: Default band for improvement metrics: the shot-noise-limited region.
 DEFAULT_BAND = (400.0, 3000.0)
@@ -84,11 +85,6 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
 
 
-#: Characters outside XML 1.0 ``Char``: C0 controls but tab, LF and CR; surrogates;
-#: U+FFFE and U+FFFF.  The SVG cannot carry them, and UTF-8 cannot encode a surrogate.
-_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
 def _string(value, key: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
@@ -97,11 +93,9 @@ def _string(value, key: str) -> str:
 
 def _label(value, key: str) -> str:
     """A label that reaches output files, as text made only of XML 1.0 characters."""
-    label = _string(value, key)
-    bad = _NOT_XML_CHAR.search(label)
-    if bad:
-        raise ValueError(f"{key} holds {bad.group()!r}, which is not an XML 1.0 character")
-    return label
+    from .svgplot import _xml_text  # the SVG's rule; imported here so GridSpec alone loads no svgplot
+
+    return _xml_text(_string(value, key), key)
 
 
 def _object(value, where: str, keys) -> dict:

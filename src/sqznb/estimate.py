@@ -10,21 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _PROVIDERS
 from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
 from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix, readout_db
-from .states import variances_from_db
+from .states import _phase_noise, variances_from_db
 
-__all__ = [
-    "MeasurementWithUncertainty",
-    "FitResult",
-    "McUncertaintyResult",
-    "OptimalInjection",
-    "InfeasibleTargetError",
-    "NoFiniteOptimumError",
-    "fit_efficiency",
-    "mc_uncertainty",
-    "optimal_inject_db",
-]
+__all__ = list(_PROVIDERS["estimate"])
 
 #: Monte Carlo draws happen in fixed blocks of this many samples, each block
 #: from its own counter-based substream, so the draws depend only on
@@ -236,7 +227,7 @@ class OptimalInjection:
 
 def optimal_inject_db(
     efficiency: float,
-    phase_noise: PhaseNoise | float,
+    phase_noise: PhaseNoise | float | None,
     *,
     max_db: float = 60.0,
 ) -> OptimalInjection:
@@ -249,11 +240,11 @@ def optimal_inject_db(
     ``x = cot(theta_rms)`` for every efficiency, so the optimum is the closed
     form ``10 log10(cot(theta_rms))`` dB clamped to ``[0, max_db]``, and
     ``iterations`` is 0.  At ``eta = 0`` this is the ``eta -> 0+`` limit and
-    the detected level is exactly 0.0 dB.  Zero jitter has no finite optimum
-    and raises NoFiniteOptimumError; a ``max_db`` outside
+    the detected level is exactly 0.0 dB.  Zero jitter, or None, has no finite
+    optimum and raises NoFiniteOptimumError; a ``max_db`` outside
     ``[0, MAX_INJECT_DB]`` raises ValueError.
     """
-    noise = phase_noise if isinstance(phase_noise, PhaseNoise) else PhaseNoise(phase_noise)
+    noise = _phase_noise(phase_noise)
     if noise.theta_rms == 0.0:
         raise NoFiniteOptimumError(
             "detected squeezing grows monotonically with the injected level when "

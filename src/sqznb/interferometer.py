@@ -30,21 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PROVIDERS
 from .budget import _freeze, _validated_curve
 from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
 from .states import as_float, as_inject_db, mix, propagate
 
-__all__ = [
-    "ANGLE_POLICIES",
-    "InterferometerConfig",
-    "SqueezerSetup",
-    "QuantumNoiseCurve",
-    "NumericalRangeError",
-    "sql_asd",
-    "coupling_kappa",
-    "quantum_noise_asd",
-    "quantum_noise_curve",
-]
+__all__ = list(_PROVIDERS["interferometer"])
 
 #: Speed of light [m/s] and reduced Planck constant [J s], both exact in the 2019 SI.
 c = 299792458.0

@@ -12,19 +12,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-__all__ = [
-    "ANGLE_POLICIES",
-    "NumericalRangeError",
-    "SqueezedState",
-    "PhaseNoise",
-    "LossChain",
-    "PropagationResult",
-    "state_from_db",
-    "apply_loss",
-    "apply_phase_noise",
-    "detected_db",
-    "propagate",
-]
+from . import _PROVIDERS
+
+__all__ = list(_PROVIDERS["states"])
 
 # Tolerance on the uncertainty product; pure states sit exactly on the bound
 # and float rounding must not reject them.
@@ -203,6 +193,11 @@ class PhaseNoise:
         object.__setattr__(self, "theta_rms", theta)
 
 
+def _phase_noise(value) -> PhaseNoise:
+    """The jitter of every entry: a PhaseNoise, a number in rad, or None for no jitter."""
+    return value if isinstance(value, PhaseNoise) else PhaseNoise(0.0 if value is None else value)
+
+
 @dataclass(frozen=True)
 class LossChain:
     """Ordered, named power-transmission efficiencies from source to detector.
@@ -257,17 +252,15 @@ def apply_loss(state: SqueezedState, efficiency: float) -> SqueezedState:
     return SqueezedState(loss_map(state.v_plus, eta), loss_map(state.v_minus, eta))
 
 
-def apply_phase_noise(state: SqueezedState, noise: PhaseNoise | float) -> SqueezedState:
+def apply_phase_noise(state: SqueezedState, noise: PhaseNoise | float | None) -> SqueezedState:
     """Average the variances over jitter of the measured quadrature angle.
 
     Each output variance is a convex mix of the two inputs,
     ``v_out = v * (1 - s2) + v_orth * s2``, with the RMS angle substituted
     directly, ``s2 = sin(theta_rms)**2``.  The mix preserves
-    v_plus + v_minus.
+    v_plus + v_minus.  ``noise`` of None means no jitter.
     """
-    if not isinstance(noise, PhaseNoise):
-        noise = PhaseNoise(noise)
-    s2 = jitter_weight(noise.theta_rms)
+    s2 = jitter_weight(_phase_noise(noise).theta_rms)
     return SqueezedState(mix(state.v_plus, state.v_minus, s2), mix(state.v_minus, state.v_plus, s2))
 
 
@@ -313,6 +306,5 @@ def propagate(
     injected = SqueezedState(*variances_from_db(as_inject_db(inject_db)))
     eta = as_efficiency(losses.total if isinstance(losses, LossChain) else losses)
     after_loss = SqueezedState(loss_map(injected.v_plus, eta), loss_map(injected.v_minus, eta))
-    noise = PhaseNoise() if phase_noise is None else phase_noise
-    final = apply_phase_noise(after_loss, noise)
+    final = apply_phase_noise(after_loss, phase_noise)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

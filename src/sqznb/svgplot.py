@@ -6,6 +6,7 @@ identical inputs.
 
 from __future__ import annotations
 
+import re
 from html import escape
 from itertools import cycle
 from math import ceil, floor, log10
@@ -16,6 +17,10 @@ import numpy as np
 from .budget import _validated_curve
 
 __all__ = ["write_loglog_svg"]
+
+#: Characters outside XML 1.0 ``Char``: C0 controls but tab, LF and CR; surrogates;
+#: U+FFFE and U+FFFF.  The SVG cannot carry them, and UTF-8 cannot encode a surrogate.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -29,13 +34,16 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 def write_loglog_svg(path, curves, *, title=""):
     """Write a log-log ASD-against-frequency plot; ``curves`` is a list of (label, x, y).
 
-    Each curve must pass the package's frequency-curve check.  Consecutive
-    curves on equal frequencies share one check and one row of x pixels.
+    Each curve must pass the package's frequency-curve check and each text
+    ``_xml_text``, so a bad input writes no file.  Consecutive curves on equal
+    frequencies share one check and one row of x pixels.
     """
     if not curves:
         raise ValueError("need at least one curve")
+    _xml_text(title, "title")
     groups = []
     for label, x, y in curves:
+        _xml_text(label, f"label {label!r}")
         if not groups or not np.array_equal(groups[-1][0], x):
             groups.append((x, []))
         groups[-1][1].append((f"curve {label!r}", y))
@@ -125,4 +133,12 @@ def write_loglog_svg(path, curves, *, title=""):
         f'font-family="sans-serif" transform="rotate(-90 18 {MARGIN_T + plot_h / 2:g})">ASD [1/√Hz]</text>'
     )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+
+
+def _xml_text(text: str, what: str) -> str:
+    """``text`` if it is made only of XML 1.0 characters, else ValueError naming ``what``."""
+    bad = _NOT_XML_CHAR.search(text)
+    if bad:
+        raise ValueError(f"{what} holds {bad.group()!r}, which is not an XML 1.0 character")
+    return text

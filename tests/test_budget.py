@@ -66,9 +66,25 @@ class TestIngest:
         with pytest.raises(AsdFileError, match=r":3:"):
             ingest_asd(path)
 
-    def test_unparseable_number_names_line(self, tmp_path):
-        path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,abc\n")
+    # float() takes "1_0", Arabic-Indic digits and a U+2000 space; the contract does not
+    @pytest.mark.parametrize("row", ["10.0,abc", "1_0.0,1e-22", "\u06630.0,1e-22", "10.0,\u20002e-22"])
+    def test_unparseable_number_names_line(self, tmp_path, row):
+        path = write(tmp_path, f"{ASD_CSV_HEADER}\n{row}\n")
         with pytest.raises(AsdFileError, match=r":2:.*unparseable"):
+            ingest_asd(path)
+
+    def test_comments_may_hold_any_text(self, tmp_path):
+        path = write(tmp_path, MINIMAL.replace("\n", "\n# 1_0 \u0663 \u00b5\n", 1))
+        assert ingest_asd(path).asd.tolist() == [1e-22, 2e-23]
+
+    def test_nonpositive_frequency_names_line(self, tmp_path):
+        path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\n-20.0,1e-22\n")
+        with pytest.raises(AsdFileError, match=r":3: frequency must be positive and finite"):
+            ingest_asd(path)
+
+    def test_missing_header_names_line_1(self, tmp_path):
+        path = write(tmp_path, "# only a comment\n\n")
+        with pytest.raises(AsdFileError, match=r":1: missing header"):
             ingest_asd(path)
 
     def test_nonpositive_value_names_line(self, tmp_path):
@@ -101,6 +117,12 @@ class TestIngest:
             "10.0,1e-22\n100.0,2e-23\n"
         )
         assert ingest_asd(path).asd.tolist() == [1e-22, 2e-23]
+
+    def test_unencodable_comment_leaves_no_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_asd_csv(path, [10.0, 100.0], [1e-22, 2e-23], comments=["\ud800"])
+        assert not path.exists()
 
 
 class TestResample:
@@ -179,6 +201,10 @@ class TestCompose:
         with pytest.raises(ValueError, match="grid"):
             compose(self.GRID, [("a", np.ones(3))])
 
+    def test_no_component_rejected(self):
+        with pytest.raises(ValueError, match="need at least one component"):
+            NoiseBudget(self.GRID, {})
+
     def test_budget_derives_the_composed_total(self):
         rng = np.random.default_rng(8)
         parts = [(label, 10.0 ** rng.uniform(-24, -22, self.GRID.size)) for label in "cab"]
@@ -192,6 +218,31 @@ def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path)
 
     with pytest.raises(ValueError, match="curve 'a'"):
         write_loglog_svg(tmp_path / "bad.svg", [("a", [1.0, 10.0, 100.0], [1.0, 2.0])])
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_svg_needs_a_curve(tmp_path):
+    from sqznb.svgplot import write_loglog_svg
+
+    with pytest.raises(ValueError, match="need at least one curve"):
+        write_loglog_svg(tmp_path / "none.svg", [])
+    assert not (tmp_path / "none.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "label, title, message",
+    [
+        ("a\x01b", "", r"label 'a\\x01b' holds '\\x01'"),
+        ("a", "H1\ufffe", r"title holds '\\ufffe'"),
+        ("a\ud800", "", r"label 'a\\ud800' holds '\\ud800'"),
+    ],
+)
+def test_svg_rejects_text_xml_cannot_carry_and_writes_no_file(tmp_path, label, title, message):
+    from sqznb.svgplot import write_loglog_svg
+
+    grid = [10.0, 100.0]
+    with pytest.raises(ValueError, match=message):
+        write_loglog_svg(tmp_path / "bad.svg", [("ok", grid, grid), (label, grid, grid)], title=title)
     assert not (tmp_path / "bad.svg").exists()
 
 
@@ -473,6 +524,10 @@ class TestGridSpec:
     def test_rejects_bad_span(self, f_min, f_max, points):
         with pytest.raises(ValueError, match="f_min|f_max|points"):
             GridSpec(f_min, f_max, points)
+
+    def test_rejects_unknown_spacing(self):
+        with pytest.raises(ValueError, match="spacing must be 'log' or 'linear', got 'cubic'"):
+            GridSpec(10.0, 100.0, 5, "cubic")
 
     @pytest.mark.parametrize("points", [-3, 0, 1])
     def test_point_count_names_its_bound(self, points):

@@ -602,6 +602,18 @@ class TestConfigKeysAndTypes:
             lambda cfg: cfg["interferometer"].update(finesse=450.0),
             "give cavity_pole_hz or finesse, not both",
         ),
+        "losses-not-a-list": (
+            lambda cfg: cfg["squeezer"].update(losses={"label": "omc", "efficiency": 0.9}),
+            "squeezer.losses must be a list",
+        ),
+        "components-not-a-list": (
+            lambda cfg: cfg.update(components=cfg["components"][0]),
+            "components must be a list",
+        ),
+        "unknown-spacing": (
+            lambda cfg: cfg["grid"].update(spacing="cubic"),
+            "spacing must be 'log' or 'linear', got 'cubic'",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)

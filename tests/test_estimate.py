@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqznb import (
+    FitResult,
     InfeasibleTargetError,
     MeasurementWithUncertainty,
     NoFiniteOptimumError,
@@ -57,6 +58,10 @@ class TestFitEfficiency:
         rounded_up = propagate(0.5625, 1.0, PhaseNoise(0.0)).detected_db
         assert rounded_up > 0.5625
         assert fit_efficiency(0.5625, rounded_up, PhaseNoise(0.0)).estimate == 1.0
+
+    def test_vacuum_injected_fits_every_efficiency(self):
+        result = fit_efficiency(0.0, 0.0, 0.037)
+        assert result == FitResult(1.0, 0.0, 0, (0.0, 1.0))
 
     def test_full_loss_gives_zero(self):
         result = fit_efficiency(7.0, 0.0, PhaseNoise(0.0))
@@ -247,9 +252,10 @@ class TestOptimalInjectDb:
         assert result.inject_db == pytest.approx(14.56, abs=0.01)
         assert result.detected_db == pytest.approx(11.55, abs=0.01)
 
-    def test_zero_jitter_has_no_finite_optimum(self):
+    @pytest.mark.parametrize("noise", [PhaseNoise(0.0), 0.0, None])
+    def test_zero_jitter_has_no_finite_optimum(self, noise):
         with pytest.raises(NoFiniteOptimumError):
-            optimal_inject_db(1.0, PhaseNoise(0.0))
+            optimal_inject_db(1.0, noise)
 
     def test_lossy_case_against_brute_force_scan(self):
         eta, theta = 0.44, 0.037

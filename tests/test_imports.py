@@ -108,6 +108,13 @@ class TestLazyNamespace:
         for m in SUBMODULES:
             assert getattr(sqznb, m) is sys.modules[f"sqznb.{m}"]
 
+    @pytest.mark.parametrize("module", SUBMODULES)
+    def test_submodule_all_is_its_providers_entry(self, module):
+        assert set(getattr(sqznb, module).__all__) == set(sqznb._PROVIDERS[module])
+
+    def test_vacuum_is_a_public_name_of_states(self):
+        assert "VACUUM" in states.__all__
+
     def test_numerical_range_error_has_one_class(self):
         assert sqznb.NumericalRangeError is budget.NumericalRangeError is states.NumericalRangeError
         assert interferometer.NumericalRangeError is states.NumericalRangeError

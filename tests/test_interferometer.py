@@ -93,6 +93,12 @@ class TestSqueezerSetup:
         with pytest.raises(ValueError, match="fixed_angle"):
             SqueezerSetup(fixed_angle=math.pi)
 
+    def test_rejects_untyped_chain_and_jitter(self):
+        with pytest.raises(ValueError, match="chain must be a LossChain"):
+            SqueezerSetup(chain=0.44)
+        with pytest.raises(ValueError, match="phase_noise must be a PhaseNoise"):
+            SqueezerSetup(phase_noise=0.037)
+
     def test_rejects_negative_injection(self):
         with pytest.raises(ValueError, match="inject_db"):
             SqueezerSetup(inject_db=-1.0)

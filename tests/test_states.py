@@ -173,9 +173,10 @@ class TestApplyLoss:
 
 
 class TestApplyPhaseNoise:
-    def test_zero_jitter_is_identity(self):
+    @pytest.mark.parametrize("noise", [PhaseNoise(0.0), 0.0, None])
+    def test_zero_jitter_is_identity(self, noise):
         state = state_from_db(13.0)
-        assert apply_phase_noise(state, PhaseNoise(0.0)) == state
+        assert apply_phase_noise(state, noise) == state
 
     def test_frozen_example_37_mrad(self):
         lossy = SqueezedState(5.274684943045468, 0.6010631892350676)
@@ -243,8 +244,9 @@ class TestPropagate:
         assert result.detected_db == pytest.approx(2.1648341645059834, rel=1e-12)
         assert 2.01 <= result.detected_db <= 2.27
 
-    def test_h1_chain_loss_only(self):
-        result = propagate(10.3, 0.44, PhaseNoise(0.0))
+    @pytest.mark.parametrize("noise", [PhaseNoise(0.0), 0.0, None])
+    def test_h1_chain_loss_only(self, noise):
+        result = propagate(10.3, 0.44, noise)
         assert result.detected_db == pytest.approx(2.2107986860701114, rel=1e-12)
 
     def test_high_purity_state_with_jitter(self):
