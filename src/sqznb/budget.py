@@ -9,8 +9,8 @@ contract (also what the CLI emits):
 
 The header line must match exactly, rows are two ASCII decimal
 floating-point fields joined by a single comma, lines starting with ``#``
-are comments, blank lines are ignored, encoding is UTF-8, and both LF and
-CRLF line ends are accepted.  Written floats use ``repr`` so a read-back
+are comments, blank lines are ignored, encoding is UTF-8, and a line ends
+at LF or CRLF only.  Written floats use ``repr`` so a read-back
 reproduces them bit-exactly, and a write that fails leaves no file.
 
 Every frequency curve, tabulated, computed or plotted, passes ``_validated_curve``;
@@ -121,7 +121,7 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
     text = path.read_text(encoding="utf-8")
     header_seen = False
     rows: list[tuple[int, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops the CR of CRLF
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -164,8 +164,8 @@ def write_asd_csv(path, frequencies, asd, comments=()) -> None:
     """Emit an ASD table in the CSV contract above.
 
     Floats are written with ``repr`` so ingesting the file reproduces the
-    arrays bit-exactly.  Each line of a comment, split where ``ingest_asd``
-    splits the file, becomes its own ``#`` line.
+    arrays bit-exactly.  Each line of a comment, split at every
+    ``str.splitlines`` boundary, becomes its own ``#`` line.
     """
     f, (v,) = _validated_curve(frequencies, [("ASD", asd)], min_points=2)
     _write_csv(path, [repr(x) for x in f.tolist()], v, comments)

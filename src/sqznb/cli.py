@@ -8,7 +8,6 @@ deterministic for fixed flags, config, and seed.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 from pathlib import Path
@@ -25,19 +24,16 @@ class _NumericalFailure(click.ClickException):
     exit_code = 3
 
 
-def _lib_errors(fn):
-    """Map library errors onto the documented exit codes."""
+class _Command(click.Command):
+    """A command that maps library errors onto the documented exit codes."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except NumericalRangeError as exc:
             raise _NumericalFailure(str(exc)) from exc
         except (ValueError, OSError) as exc:
-            raise click.UsageError(str(exc)) from exc
-
-    return wrapper
+            raise click.UsageError(str(exc), ctx) from exc
 
 
 def _emit_json(payload: dict) -> None:
@@ -61,13 +57,12 @@ def _parse_loss_flags(loss_flags) -> LossChain:
     return LossChain(tuple(elements))
 
 
-def _state_dict(state) -> dict:
-    return {"v_plus": float(state.v_plus), "v_minus": float(state.v_minus)}
-
-
 @click.group()
 def main():
     """Squeezed-light noise budget toolkit."""
+
+
+main.command_class = _Command
 
 
 @main.command("propagate")
@@ -81,7 +76,6 @@ def main():
     help="Named power-transmission efficiency in [0, 1]; repeatable, efficiencies multiply.",
 )
 @click.option("--phase-mrad", type=float, default=0.0, show_default=True, help="RMS phase jitter [mrad].")
-@_lib_errors
 def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
     """Propagate a squeezed state through loss and phase jitter."""
     if eta is not None and loss_flags:
@@ -105,9 +99,9 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
             "phase_noise_mrad": float(phase_mrad),
             "phase_noise_model": "rms-substitution",
             "variances": {
-                "injected": _state_dict(result.injected),
-                "after_loss": _state_dict(result.after_loss),
-                "detected": _state_dict(result.state),
+                "injected": dataclasses.asdict(result.injected),
+                "after_loss": dataclasses.asdict(result.after_loss),
+                "detected": dataclasses.asdict(result.state),
             },
             "detected_db": float(result.detected_db),
         }
@@ -118,7 +112,6 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
 @click.option("--injected", type=float, required=True, help="Injected squeezing level [dB].")
 @click.option("--detected", type=float, required=True, help="Measured squeezing level [dB].")
 @click.option("--phase-mrad", type=float, default=0.0, show_default=True, help="RMS phase jitter [mrad].")
-@_lib_errors
 def fit_cmd(injected, detected, phase_mrad):
     """Fit the detection efficiency behind a measured squeezing level."""
     result = fit_efficiency(injected, detected, PhaseNoise(phase_mrad * 1e-3))
@@ -147,7 +140,6 @@ def fit_cmd(injected, detected, phase_mrad):
     help="Whole number of draws; 1e6 is accepted.",
 )
 @click.option("--seed", type=float, default=42, show_default=True, metavar="INTEGER")
-@_lib_errors
 def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phase_sigma_mrad, mc_samples, seed):
     """Monte Carlo propagation of input uncertainties to detected dB."""
     result = mc_uncertainty(
@@ -164,12 +156,7 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
                 "efficiency": {"value": float(eta), "sigma": float(eta_sigma)},
                 "phase_noise_mrad": {"value": float(phase_mrad), "sigma": float(phase_sigma_mrad)},
             },
-            "samples": int(result.samples),
-            "seed": int(result.seed),
-            "mean_db": float(result.mean_db),
-            "sigma_db": float(result.sigma_db),
-            "first_order_sigma_db": float(result.first_order_sigma_db),
-            "clamped": {key: int(n) for key, n in result.clamped.items()},
+            **dataclasses.asdict(result),
         }
     )
 
@@ -178,7 +165,6 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
 @click.option("--eta", type=float, required=True, help="Detection efficiency in [0, 1].")
 @click.option("--phase-mrad", type=float, required=True, help="RMS phase jitter [mrad].")
 @click.option("--max-db", type=float, default=60.0, show_default=True, help="Upper limit on the injection level [dB].")
-@_lib_errors
 def optimize_cmd(eta, phase_mrad, max_db):
     """Injection level that maximizes detected squeezing under jitter."""
     result = optimal_inject_db(eta, PhaseNoise(phase_mrad * 1e-3), max_db=max_db)
@@ -233,10 +219,11 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     Each ``(tag, values, comment)`` in ``csvs`` goes to ``<prefix>-<tag>.csv``;
     ``summary``, with the CSV names added as ``files``, to
     ``<prefix>-summary.json``; and ``svg``, a ``(curves, title)`` pair, to
-    ``<prefix>.svg``.  A name longer than the file system takes is a
-    ValueError naming what that file would have held.
+    ``<prefix>.svg``.  ``grid`` and the values are a NoiseBudget's arrays, checked
+    and frozen there, so they are written as they are.  A name longer than the
+    file system takes is a ValueError naming what that file would have held.
     """
-    from .budget import _validated_curve, _write_csv
+    from .budget import _write_csv
     from .svgplot import write_loglog_svg
 
     csv_paths = [Path(f"{prefix}-{tag}.csv") for tag, _, _ in csvs]
@@ -250,9 +237,8 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     for path, what in targets:
         if len(os.fsencode(path.name)) > limit:
             raise ValueError(f"file name for {what!r} is longer than {limit} bytes: {path.name!r}")
-    grid, checked = _validated_curve(grid, [(tag, values) for tag, values, _ in csvs], min_points=2)
     column = [repr(x) for x in grid.tolist()]
-    for path, values, (_, _, comment) in zip(csv_paths, checked, csvs):
+    for path, (_, values, comment) in zip(csv_paths, csvs):
         _write_csv(path, column, values, [comment])
     if summary is not None:
         files = {tag: path.name for path, (tag, _, _) in zip(csv_paths, csvs)}
@@ -266,7 +252,6 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "prefix", required=True, help="Output path prefix for emitted files.")
 @click.option("--svg", "with_svg", is_flag=True, help="Also write a log-log overview plot.")
-@_lib_errors
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
     from .budget import improvement_db
@@ -333,7 +318,6 @@ def budget_cmd(config_path, prefix, with_svg):
     help="Which squeeze-angle policy to project; 'all' emits the three of them.",
 )
 @click.option("--out", "prefix", required=True, help="Output path prefix for emitted files.")
-@_lib_errors
 def project_cmd(config_path, mode, prefix):
     """Project quantum-noise and total curves for squeeze-angle policies."""
     from .config import load_run_config

@@ -42,7 +42,8 @@ class GridSpec:
 
     def __post_init__(self):
         f_min = as_float(self.f_min, "f_min", gt=0.0)
-        as_float(self.f_max, "f_max", gt=f_min)
+        object.__setattr__(self, "f_max", as_float(self.f_max, "f_max", gt=f_min))
+        object.__setattr__(self, "f_min", f_min)
         object.__setattr__(self, "points", as_whole_number(self.points, "points", ge=2))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
@@ -145,15 +146,12 @@ def _parse_squeezer(section: dict) -> SqueezerSetup:
         entry = _object(entry, where, ("label", "efficiency"))
         elements.append((_string(entry.get("label"), f"{where}.label"), _number(entry, "efficiency", where)))
     phase_mrad = _number(section, "phase_noise_mrad", "squeezer", 0.0)
-    kwargs = {}
-    if "fixed_angle_rad" in section:
-        kwargs["fixed_angle"] = _number(section, "fixed_angle_rad", "squeezer")
     return SqueezerSetup(
         inject_db=_number(section, "inject_db", "squeezer", 0.0),
         chain=LossChain(tuple(elements)),
         phase_noise=PhaseNoise(phase_mrad * 1e-3),
         angle_policy=str(section.get("angle_policy", "none")),
-        **kwargs,
+        fixed_angle=_number(section, "fixed_angle_rad", "squeezer", SqueezerSetup.fixed_angle),
     )
 
 

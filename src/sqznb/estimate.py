@@ -45,8 +45,8 @@ class MeasurementWithUncertainty:
     sigma: float = 0.0
 
     def __post_init__(self):
-        as_float(self.value, "value")
-        as_float(self.sigma, "sigma", ge=0.0)
+        object.__setattr__(self, "value", as_float(self.value, "value"))
+        object.__setattr__(self, "sigma", as_float(self.sigma, "sigma", ge=0.0))
 
 
 @dataclass(frozen=True)

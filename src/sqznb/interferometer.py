@@ -69,7 +69,7 @@ class InterferometerConfig:
 
     def __post_init__(self):
         for name in ("arm_length", "mirror_mass", "arm_power", "cavity_pole", "wavelength"):
-            as_float(getattr(self, name), name, gt=0.0)
+            object.__setattr__(self, name, as_float(getattr(self, name), name, gt=0.0))
 
     @classmethod
     def from_finesse(
@@ -120,7 +120,7 @@ class SqueezerSetup:
     fixed_angle: float = math.pi / 2
 
     def __post_init__(self):
-        as_inject_db(self.inject_db)
+        object.__setattr__(self, "inject_db", as_inject_db(self.inject_db))
         if not isinstance(self.chain, LossChain):
             raise ValueError("chain must be a LossChain")
         if not isinstance(self.phase_noise, PhaseNoise):
@@ -131,7 +131,8 @@ class SqueezerSetup:
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {self.angle_policy!r}"
             )
         object.__setattr__(self, "angle_policy", policy)
-        as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
+        angle = as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
+        object.__setattr__(self, "fixed_angle", angle)
 
     @property
     def efficiency(self) -> float:
@@ -142,9 +143,17 @@ class SqueezerSetup:
         return propagate(self.inject_db, self.chain, self.phase_noise).state
 
 
-def _angular(frequency) -> np.ndarray:
-    f, _ = _validated_curve(np.atleast_1d(frequency))
-    return 2.0 * np.pi * f
+def _curve(name: str, frequency, rule, *args):
+    """``rule(*args, 2 pi f)`` under the curve rule; a float for a scalar ``frequency``.
+
+    numpy's warnings are off while ``rule`` runs: an overflow leaves an inf or
+    a NaN, which the one _validated_curve call names, after any fault of the grid.
+    """
+    f = np.atleast_1d(np.asarray(frequency, dtype=float))
+    with np.errstate(all="ignore"):
+        values = rule(*args, 2.0 * np.pi * f)
+    _, (out,) = _validated_curve(f, [(name, values)])
+    return out.item() if np.ndim(frequency) == 0 else out
 
 
 def _sql(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
@@ -163,8 +172,7 @@ def sql_asd(config: InterferometerConfig, frequency):
     Scales as 1/f, 1/L and 1/sqrt(M).  Accepts a scalar or an array of
     frequencies in Hz.
     """
-    out = _sql(config, _angular(frequency))
-    return out.item() if np.ndim(frequency) == 0 else out
+    return _curve("SQL ASD", frequency, _sql, config)
 
 
 def coupling_kappa(config: InterferometerConfig, frequency):
@@ -173,8 +181,7 @@ def coupling_kappa(config: InterferometerConfig, frequency):
     K = 16 P w0 g / (M L c Omega^2 (g^2 + Omega^2)); dimensionless, linear
     in the arm power and strictly decreasing in frequency.
     """
-    out = _kappa(config, _angular(frequency))
-    return out.item() if np.ndim(frequency) == 0 else out
+    return _curve("coupling K", frequency, _kappa, config)
 
 
 def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, frequency):
@@ -185,7 +192,10 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
     by the ellipse variance projected on the readout noise quadrature, with
     the minor axis at ``setup.fixed_angle`` under ``"fixed"``.
     """
-    omega = _angular(frequency)
+    return _curve("quantum noise ASD", frequency, _quantum_asd, config, setup)
+
+
+def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.ndarray) -> np.ndarray:
     kappa = _kappa(config, omega)
     h_sql = _sql(config, omega)
     vacuum_psd = 0.5 * h_sql**2 * (1.0 + kappa**2) / kappa
@@ -200,9 +210,7 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
         else:
             relative = np.arctan2(1.0, -kappa) - setup.fixed_angle
             variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
-
-    out = np.sqrt(vacuum_psd * variance)
-    return out.item() if np.ndim(frequency) == 0 else out
+    return np.sqrt(vacuum_psd * variance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,15 +65,13 @@ def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str 
 
 
 def _interval(ge, gt, le, lt, unit: str) -> str:
-    """The interval of as_float in words: 'in [0, 1]', '>= 0 dB and finite', 'finite'."""
+    """as_float's interval in words, 'in [0, 1]', '>= 0 dB and finite' or 'finite'; an upper end has a lower."""
     low, high = (ge if gt is None else gt), (le if lt is None else lt)
     if low is not None and high is not None:
         left, right = ("[" if gt is None else "("), ("]" if lt is None else ")")
         return f"in {left}{low:.16g}, {high:.16g}{right}{unit}"
     if low is not None:
         return f"{'>=' if gt is None else '>'} {low:.16g}{unit} and finite"
-    if high is not None:
-        return f"{'<=' if lt is None else '<'} {high:.16g}{unit} and finite"
     return "finite"
 
 
@@ -156,8 +154,8 @@ class SqueezedState:
     v_minus: float
 
     def __post_init__(self):
-        as_float(self.v_plus, "v_plus", gt=0.0)
-        as_float(self.v_minus, "v_minus", gt=0.0)
+        object.__setattr__(self, "v_plus", as_float(self.v_plus, "v_plus", gt=0.0))
+        object.__setattr__(self, "v_minus", as_float(self.v_minus, "v_minus", gt=0.0))
         if self.v_plus < self.v_minus:
             raise ValueError(
                 "variance labels are swapped: "

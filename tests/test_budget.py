@@ -73,9 +73,18 @@ class TestIngest:
         with pytest.raises(AsdFileError, match=r":2:.*unparseable"):
             ingest_asd(path)
 
-    def test_comments_may_hold_any_text(self, tmp_path):
-        path = write(tmp_path, MINIMAL.replace("\n", "\n# 1_0 \u0663 \u00b5\n", 1))
+    # U+2028, FS, FF and NEL end a line for str.splitlines, but not for the contract
+    @pytest.mark.parametrize("comment", ["1_0 \u0663 \u00b5", "a\u2028b", "a\x1cb", "a\x0cb", "a\x85b"])
+    @pytest.mark.parametrize("where", ["before-header", "after-header"])
+    def test_comments_may_hold_any_text(self, tmp_path, comment, where):
+        at = 0 if where == "before-header" else MINIMAL.index("\n") + 1
+        path = write(tmp_path, f"{MINIMAL[:at]}# {comment}\n{MINIMAL[at:]}")
         assert ingest_asd(path).asd.tolist() == [1e-22, 2e-23]
+
+    def test_rows_end_only_at_lf_or_crlf(self, tmp_path):
+        path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\x0b20.0,2e-22\x1c30.0,3e-22\n")
+        with pytest.raises(AsdFileError, match=r":2: expected 2 comma-separated fields, got 4$"):
+            ingest_asd(path)
 
     def test_nonpositive_frequency_names_line(self, tmp_path):
         path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\n-20.0,1e-22\n")
@@ -221,6 +230,18 @@ def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path)
     assert not (tmp_path / "bad.svg").exists()
 
 
+def test_svg_one_point_curve_spans_one_decade_each_way(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    from sqznb.svgplot import HEIGHT, MARGIN_B, MARGIN_L, write_loglog_svg
+
+    write_loglog_svg(tmp_path / "one.svg", [("a", [10.0], [1e-20])])
+    texts = [el.text for el in ET.parse(tmp_path / "one.svg").iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[:4] == ["10", "100", "1e-20", "1e-19"]
+    # the point sits at the lower left corner: both axes start at its decade
+    assert polylines(tmp_path / "one.svg") == [f"{MARGIN_L:.2f},{HEIGHT - MARGIN_B:.2f}"]
+
+
 def test_svg_needs_a_curve(tmp_path):
     from sqznb.svgplot import write_loglog_svg
 
@@ -295,6 +316,8 @@ class TestCurveCheckAtEveryEntryPoint:
             pytest.param([10.0, 30.0, 20.0, 40.0], INCREASING, id="decreasing-step"),
             pytest.param([10.0, 30.0, 20.0, NAN], POSITIVE, id="decreasing-and-nan"),
             pytest.param([NAN], POSITIVE, id="one-point-nan"),
+            pytest.param([[10.0, 20.0], [30.0, 40.0]], "frequencies must be a 1-d array, got shape (2, 2)",
+                         id="two-d"),
         ],
     )
     @pytest.mark.parametrize("entry", ENTRIES)

@@ -3,6 +3,7 @@ and byte-level determinism of emitted artifacts."""
 
 import json
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -128,6 +129,11 @@ class TestPropagateCommand:
     def test_usage_errors_exit_2(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
+
+    def test_loss_efficiency_that_is_not_a_number_exits_2(self, runner):
+        result = runner.invoke(main, ["propagate", "--inject-db", "10.3", "--loss", "a=x"])
+        assert result.exit_code == 2
+        assert "--loss 'a=x': efficiency is not a number" in result.output
 
     def test_injection_above_the_ceiling_names_inject_db(self, runner):
         result = runner.invoke(main, ["propagate", "--inject-db", "4000", "--eta", "0.5"])
@@ -819,6 +825,58 @@ class TestDeterminism:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["detected_db"] == pytest.approx(2.2108, abs=0.001)
+
+
+#: Per command, arguments that make the library raise a plain ValueError.
+LIBRARY_VALUE_ERRORS = {
+    "propagate": ["--inject-db", "-1", "--eta", "0.5"],
+    "fit": ["--injected", "10.3", "--detected", "20"],
+    "uncertainty": ["--mc-samples", "10"],
+    "optimize": ["--eta", "2", "--phase-mrad", "35"],
+    "budget": ["{empty}", "--out", "{out}"],
+    "project": ["{empty}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_library_value_error_exits_2_with_the_usage_hint(runner, tmp_path, command):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    args = [a.format(empty=empty, out=tmp_path / "run") for a in LIBRARY_VALUE_ERRORS[command]]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2, result.output
+    # the program name differs between CliRunner and python -m sqznb
+    assert re.search(rf"^Try '.* {command} --help' for help\.$", result.output, re.M), result.output
+
+
+@pytest.mark.parametrize("command", ["budget", "project"])
+def test_overflowing_quantum_noise_exits_3_with_one_line_on_stderr(configs_dir, tmp_path, command):
+    cfg = json.loads((configs_dir / "h1.json").read_text())
+    cfg["interferometer"]["mirror_mass_kg"] = 1e-300
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqznb", command, str(path), "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    # no usage lines and no numpy RuntimeWarning
+    assert proc.stderr == "Error: quantum noise ASD is not a positive finite number at 10.0 Hz\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("pathconf", [OSError, ValueError, AttributeError, -1], ids=str)
+def test_file_name_limit_falls_back_to_255(tmp_path, monkeypatch, pathconf):
+    from sqznb import cli
+
+    def fake(path, name):
+        if isinstance(pathconf, int):
+            return pathconf  # a file system without a limit reports -1
+        raise pathconf(name)
+
+    monkeypatch.setattr(cli.os, "pathconf", fake)
+    assert cli._name_max(tmp_path) == 255
 
 
 def test_run_csvs_are_the_bytes_of_write_asd_csv(tmp_path):

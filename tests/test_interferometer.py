@@ -6,6 +6,7 @@ crossover from the bisection oracle below.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ class TestCouplingKappa:
     def test_rejects_nonpositive_frequency(self, aligo_like):
         with pytest.raises(ValueError):
             coupling_kappa(aligo_like, -5.0)
+
+
+#: The three computed curves, each called as ``curve(config, frequency)``.
+COMPUTED = {
+    "sql_asd": sql_asd,
+    "coupling_kappa": coupling_kappa,
+    "quantum_noise_asd": lambda config, f: quantum_noise_asd(config, SqueezerSetup(), f),
+}
+
+
+@pytest.mark.parametrize(
+    "params, curve",
+    [
+        ((4000.0, 1e-300, 8e5, 390.0), "quantum_noise_asd"),  # K overflows in K**2: ASD inf
+        ((4000.0, 40.0, 1e300, 390.0), "coupling_kappa"),  # K inf
+        ((4000.0, 40.0, 1e300, 390.0), "quantum_noise_asd"),  # inf/inf: ASD nan
+        ((4000.0, 1e300, 1e-300, 390.0), "sql_asd"),  # SQL underflows to 0
+        ((4000.0, 1e300, 1e-300, 390.0), "coupling_kappa"),  # K underflows to 0
+        ((4000.0, 1e300, 1e-300, 390.0), "quantum_noise_asd"),
+    ],
+)
+@pytest.mark.parametrize("frequency", [10.0, GRID], ids=["scalar", "grid"])
+def test_computed_curve_out_of_range_names_its_frequency_without_a_warning(params, curve, frequency):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalRangeError) as info:
+            COMPUTED[curve](InterferometerConfig(*params), frequency)
+    assert info.value.frequency == 10.0
 
 
 class TestQuantumNoiseAsd:

@@ -1,18 +1,21 @@
 """Property tests tying the closed-form inverses to the forward chain, the
-library, CLI and run-config paths to one domain rule per input, the run
-config, ``budget`` and ``project`` to one band rule, every label to
-well-formed output files or none, and the run-config loader to its schema.
+library, CLI and run-config paths to one domain rule per input, every
+record to the float that rule returns, the run config, ``budget`` and
+``project`` to one band rule, every label to well-formed output files or
+none, and the run-config loader to its schema.
 
 Examples are derandomized so every run checks the same inputs.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import pathlib
 import re
 import shutil
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -24,17 +27,25 @@ from hypothesis import strategies as st
 from sqznb import (
     ASD_CSV_HEADER,
     GridSpec,
+    InterferometerConfig,
+    LossChain,
     MeasurementWithUncertainty,
     NumericalRangeError,
     PhaseNoise,
+    SqueezedState,
+    SqueezerSetup,
     TabulatedASD,
+    coupling_kappa,
+    detected_db,
     fit_efficiency,
     ingest_asd,
     load_run_config,
     mc_uncertainty,
     optimal_inject_db,
     propagate,
+    quantum_noise_asd,
     resample,
+    sql_asd,
 )
 from sqznb.cli import main
 from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS
@@ -175,6 +186,36 @@ def test_one_domain_rule_on_every_path(field, data, config_path):
         # the message names the input as the library knows it, and the CLI prints it
         assert api_error.startswith(f"{name} must be")
         assert api_error in result.output
+
+
+def records(kind):
+    """One of each record that checks a number, with whole numbers given as ``kind``."""
+    return (
+        SqueezedState(kind(4), kind(1)),
+        MeasurementWithUncertainty(kind(10), kind(1)),
+        InterferometerConfig(kind(4000), kind(40), kind(800000), kind(390)),
+        SqueezerSetup(kind(10), LossChain.from_total(0.5), PhaseNoise(0.03), "fixed", kind(1)),
+        GridSpec(kind(10), kind(10000), 5),
+    )
+
+
+def results(state, measurement, ifo, setup, grid):
+    f = grid.frequencies()
+    jitter = MeasurementWithUncertainty(0.03, 0.005)
+    mc = mc_uncertainty(measurement, MeasurementWithUncertainty(0.5, 0.02), jitter, samples=1000)
+    curves = [sql_asd(ifo, f), coupling_kappa(ifo, f), quantum_noise_asd(ifo, setup, f)]
+    return [detected_db(state), repr(mc), sql_asd(ifo, 100.0), *(c.tobytes() for c in [f, *curves])]
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, np.float32])
+def test_records_store_the_float_their_rule_returns(kind):
+    given, reference = records(kind), records(float)
+    for record, floats in zip(given, reference):
+        for field in dataclasses.fields(record):
+            if type(getattr(floats, field.name)) is float:
+                assert type(getattr(record, field.name)) is float, (type(record).__name__, field.name)
+    assert given == reference
+    assert results(*given) == results(*reference)
 
 
 #: Span ends: 10**log10(f) misses 3000 and 5000 by an ulp and lands on 10 and 10000.
