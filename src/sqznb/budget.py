@@ -168,15 +168,17 @@ def write_asd_csv(path, frequencies, asd, comments=()) -> None:
     ``str.splitlines`` boundary, becomes its own ``#`` line.
     """
     f, (v,) = _validated_curve(frequencies, [("ASD", asd)], min_points=2)
-    _write_csv(path, [repr(x) for x in f.tolist()], v, comments)
+    _write_csvs(f, [(path, v, comments)])
 
 
-def _write_csv(path, column, values, comments) -> None:
-    """Write checked ``values`` against ``column``, the grid's frequencies already in ``repr`` form."""
-    lines = [ASD_CSV_HEADER]
-    lines.extend(f"# {piece}" for comment in comments for piece in comment.splitlines() or [""])
-    lines.extend([f"{x},{y!r}" for x, y in zip(column, values.tolist())])
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+def _write_csvs(grid, tables) -> None:
+    """Write checked ``(path, values, comments)`` tables against ``grid``, formatting its column once."""
+    column = [repr(x) for x in grid.tolist()]
+    for path, values, comments in tables:
+        lines = [ASD_CSV_HEADER]
+        lines.extend(f"# {piece}" for comment in comments for piece in comment.splitlines() or [""])
+        lines.extend([f"{x},{y!r}" for x, y in zip(column, values.tolist())])
+        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def resample(table: TabulatedASD, grid) -> np.ndarray:

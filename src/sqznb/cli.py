@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 2 for usage or configuration errors, 3 for
-numerical failures (non-finite spectral values).  All outputs are
-deterministic for fixed flags, config, and seed.
+numerical failures (non-finite spectral values).  On one host, all outputs
+are deterministic for fixed flags, config, and seed; across numpy's SIMD
+kernel classes, ``log10``, ``**`` and ``arctan2`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -82,20 +83,14 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
         raise click.UsageError("--eta and --loss are mutually exclusive")
     if eta is None and not loss_flags:
         raise click.UsageError("give either --eta or at least one --loss LABEL=EFF")
-    if eta is not None:
-        losses = float(eta)
-        breakdown = [{"label": "total", "efficiency": float(eta)}]
-    else:
-        chain = _parse_loss_flags(loss_flags)
-        losses = chain
-        breakdown = [{"label": label, "efficiency": float(e)} for label, e in chain]
-    noise = PhaseNoise(phase_mrad * 1e-3)
-    result = propagate(inject_db, losses, noise)
+    losses = eta if eta is not None else _parse_loss_flags(loss_flags)
+    result = propagate(inject_db, losses, PhaseNoise(phase_mrad * 1e-3))
+    chain = LossChain.from_total(result.efficiency) if eta is not None else losses
     _emit_json(
         {
             "inject_db": float(inject_db),
             "efficiency": float(result.efficiency),
-            "loss_chain": breakdown,
+            "loss_chain": [{"label": label, "efficiency": float(e)} for label, e in chain],
             "phase_noise_mrad": float(phase_mrad),
             "phase_noise_model": "rms-substitution",
             "variances": {
@@ -223,7 +218,7 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     and frozen there, so they are written as they are.  A name longer than the
     file system takes is a ValueError naming what that file would have held.
     """
-    from .budget import _write_csv
+    from .budget import _write_csvs
     from .svgplot import write_loglog_svg
 
     csv_paths = [Path(f"{prefix}-{tag}.csv") for tag, _, _ in csvs]
@@ -237,9 +232,7 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     for path, what in targets:
         if len(os.fsencode(path.name)) > limit:
             raise ValueError(f"file name for {what!r} is longer than {limit} bytes: {path.name!r}")
-    column = [repr(x) for x in grid.tolist()]
-    for path, (_, values, comment) in zip(csv_paths, csvs):
-        _write_csv(path, column, values, [comment])
+    _write_csvs(grid, [(path, values, [comment]) for path, (_, values, comment) in zip(csv_paths, csvs)])
     if summary is not None:
         files = {tag: path.name for path, (tag, _, _) in zip(csv_paths, csvs)}
         _write_json(json_path, {**summary, "files": files})
@@ -268,11 +261,6 @@ def budget_cmd(config_path, prefix, with_svg):
     except ValueError:
         low = None  # the low band is optional: reported when the band rule accepts it
 
-    if cfg.squeezer.angle_policy == "none":
-        detected = 0.0
-    else:
-        detected = detected_db(cfg.squeezer.degraded_state())
-
     components = squeezed.components.items()
     csvs = [
         ("total", squeezed.total, f"total, squeezer as configured ({cfg.label})"),
@@ -282,15 +270,15 @@ def budget_cmd(config_path, prefix, with_svg):
 
     summary = {
         "label": cfg.label,
-        "band_hz": [float(cfg.band[0]), float(cfg.band[1])],
+        "band_hz": list(imp.band),
         "improvement_db": _improvement_dict(imp),
         "equivalent_power_increase": {
             "from_median": _power_increase_or_none(imp.median_db),
             "from_max": _power_increase_or_none(imp.max_db),
         },
-        "low_band_hz": [float(LOW_BAND[0]), float(LOW_BAND[1])] if low else None,
+        "low_band_hz": list(low.band) if low else None,
         "low_band_improvement_db": _improvement_dict(low) if low else None,
-        "detected_squeezing_db": float(detected),
+        "detected_squeezing_db": float(detected_db(cfg.squeezer.degraded_state())),
         "angle_policy": cfg.squeezer.angle_policy,
         "components": sorted(squeezed.components),
         "grid": {

@@ -122,7 +122,7 @@ def _parse_interferometer(section: dict) -> InterferometerConfig:
         arm_length=_number(section, "arm_length_m", "interferometer"),
         mirror_mass=_number(section, "mirror_mass_kg", "interferometer"),
         arm_power=_number(section, "arm_power_w", "interferometer"),
-        wavelength=_number(section, "wavelength_m", "interferometer", 1.064e-6),
+        wavelength=_number(section, "wavelength_m", "interferometer", InterferometerConfig.wavelength),
         label=label,
     )
     if "cavity_pole_hz" in section and "finesse" in section:
@@ -147,10 +147,10 @@ def _parse_squeezer(section: dict) -> SqueezerSetup:
         elements.append((_string(entry.get("label"), f"{where}.label"), _number(entry, "efficiency", where)))
     phase_mrad = _number(section, "phase_noise_mrad", "squeezer", 0.0)
     return SqueezerSetup(
-        inject_db=_number(section, "inject_db", "squeezer", 0.0),
+        inject_db=_number(section, "inject_db", "squeezer", SqueezerSetup.inject_db),
         chain=LossChain(tuple(elements)),
         phase_noise=PhaseNoise(phase_mrad * 1e-3),
-        angle_policy=str(section.get("angle_policy", "none")),
+        angle_policy=section.get("angle_policy", SqueezerSetup.angle_policy),
         fixed_angle=_number(section, "fixed_angle_rad", "squeezer", SqueezerSetup.fixed_angle),
     )
 
@@ -160,7 +160,7 @@ def _parse_grid(section: dict) -> GridSpec:
         f_min=_number(section, "f_min_hz", "grid"),
         f_max=_number(section, "f_max_hz", "grid"),
         points=section.get("points"),
-        spacing=str(section.get("spacing", "log")),
+        spacing=section.get("spacing", GridSpec.spacing),
     )
 
 
@@ -171,7 +171,10 @@ def load_run_config(path) -> RunConfig:
     or ill-typed entries, out-of-range values, or missing component files.
     """
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     _object(raw, "config", ("label", "interferometer", "squeezer", "grid", "components", "band_hz"))
     interferometer = _parse_interferometer(_object(raw.get("interferometer"), "interferometer", _IFO_KEYS))
     squeezer = _parse_squeezer(_object(raw.get("squeezer", {}), "squeezer", _SQUEEZER_KEYS))

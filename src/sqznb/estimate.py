@@ -18,8 +18,10 @@ from .states import _phase_noise, variances_from_db
 __all__ = list(_PROVIDERS["estimate"])
 
 #: Monte Carlo draws happen in fixed blocks of this many samples, each block
-#: from its own counter-based substream, so the draws depend only on
-#: (samples, seed) and the working memory beyond the result is one block.
+#: from its own counter-based substream, so on one host the results depend
+#: only on (samples, seed) and the working memory beyond the result is one
+#: block.  Across numpy's SIMD kernel classes, log10 and ** in the kernel can
+#: differ in the last bit.
 MC_BLOCK = 65536
 
 _THETA_MAX = math.nextafter(MAX_PHASE_RMS, 0.0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _PROVIDERS
 from .budget import _freeze, _validated_curve
-from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
+from .states import ANGLE_POLICIES, VACUUM, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
 from .states import as_float, as_inject_db, mix, propagate
 
 __all__ = list(_PROVIDERS["interferometer"])
@@ -139,7 +139,9 @@ class SqueezerSetup:
         return self.chain.total
 
     def degraded_state(self) -> SqueezedState:
-        """Squeezed state at the readout, after loss and phase jitter."""
+        """State at the readout: vacuum under ``"none"``, else squeezed, after loss and jitter."""
+        if self.angle_policy == "none":
+            return VACUUM
         return propagate(self.inject_db, self.chain, self.phase_noise).state
 
 
@@ -200,16 +202,13 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
     h_sql = _sql(config, omega)
     vacuum_psd = 0.5 * h_sql**2 * (1.0 + kappa**2) / kappa
 
-    if setup.angle_policy == "none":
-        variance = 1.0
+    state = setup.degraded_state()
+    if setup.angle_policy == "fixed":
+        relative = np.arctan2(1.0, -kappa) - setup.fixed_angle
+        variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
     else:
-        state = setup.degraded_state()
-        if setup.angle_policy == "fd-optimal":
-            # minor axis tracks the noise quadrature: projection is v_minus
-            variance = state.v_minus
-        else:
-            relative = np.arctan2(1.0, -kappa) - setup.fixed_angle
-            variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
+        # vacuum, or a minor axis that tracks the noise quadrature: projection is v_minus
+        variance = state.v_minus
     return np.sqrt(vacuum_psd * variance)
 
 

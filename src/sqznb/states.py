@@ -231,8 +231,9 @@ class LossChain:
 def state_from_db(squeeze_db: float) -> SqueezedState:
     """Pure squeezed state with the given squeezing level in dB.
 
-    ``v_minus = 10**(-squeeze_db/10)`` and ``v_plus = 1/v_minus``, so the
-    uncertainty product is exactly 1 up to rounding; 0 dB gives vacuum.
+    ``v_plus = 10**(squeeze_db/10)`` and ``v_minus = 10**(-squeeze_db/10)``,
+    each rounded on its own, so their product is 1 only up to rounding; 0 dB
+    gives vacuum.
     The level must lie in [0, MAX_INJECT_DB].
     """
     squeeze_db = as_inject_db(squeeze_db, "squeeze_db")

@@ -73,6 +73,7 @@ class TestPropagateCommand:
             runner, ["propagate", "--inject-db", "10.3", "--eta", "0.44", "--phase-mrad", "37"]
         )
         validate(schema_dir, "propagate.schema.json", payload)
+        assert payload["loss_chain"] == [{"label": "total", "efficiency": 0.44}]
         assert payload["detected_db"] == pytest.approx(2.1648341645059834, rel=1e-12)
         assert payload["variances"]["after_loss"]["v_minus"] == pytest.approx(0.6011, abs=1e-4)
 
@@ -320,11 +321,22 @@ class TestBudgetCommand:
         expected_power = 10 ** (summary["improvement_db"]["max"] / 10.0) - 1.0
         assert summary["equivalent_power_increase"]["from_max"] == pytest.approx(expected_power)
 
-    def test_unsqueezed_total_equals_quantum_curve(self, runner, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            squeezer={"inject_db": 0.0, "losses": [], "phase_noise_mrad": 0.0, "angle_policy": "none"},
-        )
+    @pytest.mark.parametrize(
+        "squeezer",
+        [
+            {"inject_db": 0.0, "losses": [], "phase_noise_mrad": 0.0, "angle_policy": "none"},
+            # a squeezer that is set up but off: the readout still sees vacuum
+            {
+                "inject_db": 10.3,
+                "losses": [{"label": "total_detection", "efficiency": 0.44}],
+                "phase_noise_mrad": 37.0,
+                "angle_policy": "none",
+            },
+        ],
+        ids=["absent", "off"],
+    )
+    def test_unsqueezed_total_equals_quantum_curve(self, runner, tmp_path, squeezer):
+        cfg = write_config(tmp_path, squeezer=squeezer)
         out = tmp_path / "plain"
         result = runner.invoke(main, ["budget", str(cfg), "--out", str(out)])
         assert result.exit_code == 0, result.output
@@ -620,6 +632,19 @@ class TestConfigKeysAndTypes:
             lambda cfg: cfg["grid"].update(spacing="cubic"),
             "spacing must be 'log' or 'linear', got 'cubic'",
         ),
+        # a non-string value is named as the JSON gave it
+        "numeric-angle-policy": (
+            lambda cfg: cfg["squeezer"].update(angle_policy=5),
+            "angle_policy must be one of ('none', 'fixed', 'fd-optimal'), got 5",
+        ),
+        "null-angle-policy": (
+            lambda cfg: cfg["squeezer"].update(angle_policy=None),
+            "angle_policy must be one of ('none', 'fixed', 'fd-optimal'), got None",
+        ),
+        "list-spacing": (
+            lambda cfg: cfg["grid"].update(spacing=["log"]),
+            "spacing must be 'log' or 'linear', got ['log']",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -637,6 +662,15 @@ class TestConfigKeysAndTypes:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    def test_config_nested_too_deeply_exits_2(self, runner, tmp_path, command):
+        # json.loads raises RecursionError at about 1000 levels
+        path = tmp_path / "deep.json"
+        path.write_text('{"label": "x", "interferometer": ' + "[" * 10_000 + "]" * 10_000 + "}")
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: JSON nested too deeply to parse" in result.output
 
     def test_integer_past_the_float_range_exits_2(self, runner, configs_dir, tmp_path):
         # JSON has no size limit on integers; float() of a 400-digit one overflows

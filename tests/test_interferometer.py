@@ -10,9 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.constants import c
 
 from sqznb import (
+    VACUUM,
     InterferometerConfig,
     LossChain,
     NumericalRangeError,
@@ -25,6 +25,9 @@ from sqznb import (
 )
 
 GRID = np.logspace(1, 4, 400)
+
+# speed of light [m/s], exact by definition of the metre
+c = 299_792_458.0
 
 # frozen: sqrt(8*hbar / (10 kg * (2*pi*100 Hz)^2 * (4000 m)^2))
 SQL_10KG_4KM_100HZ = 3.6546283121502275e-24
@@ -112,6 +115,8 @@ class TestSqueezerSetup:
         setup = fig3_setup()
         state = setup.degraded_state()
         assert -10 * math.log10(state.v_minus) == pytest.approx(6.538066079942874, rel=1e-12)
+        off = SqueezerSetup(10.3, LossChain.from_total(0.44), PhaseNoise(0.037), "none")
+        assert off.degraded_state() is VACUUM
 
 
 class TestSqlAsd:
