@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _PROVIDERS
-from .states import MAX_INJECT_DB, NumericalRangeError, as_float
+from .states import MAX_INJECT_DB, NumericalRangeError, _quote, as_float
 
 __all__ = list(_PROVIDERS["budget"])
 
@@ -101,7 +101,7 @@ class TabulatedASD:
 
     def __post_init__(self):
         f, (v,) = _validated_curve(
-            self.frequencies, [(f"ASD {self.label!r}", self.asd)], min_points=2
+            self.frequencies, [(f"ASD {_quote(self.label)}", self.asd)], min_points=2
         )
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(v))
@@ -114,11 +114,16 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
     """Read and validate an ASD table; the label defaults to the file stem.
 
     Raises AsdFileError naming the offending 1-based line for any parse or
-    validation failure (bad header, malformed row, non-increasing
-    frequency, non-positive value).
+    validation failure (bytes that are not UTF-8, bad header, malformed row,
+    non-increasing frequency, non-positive value).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # exc.object is the whole file; bytes.splitlines ends lines where text mode does
+        line = len((exc.object[: exc.start] + b"-").splitlines())
+        raise AsdFileError(path, line, f"not UTF-8 text: {exc}") from None
     header_seen = False
     rows: list[tuple[int, float, float]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops the CR of CRLF
@@ -127,7 +132,7 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
             continue
         if not header_seen:
             if line != ASD_CSV_HEADER:
-                raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {line!r}")
+                raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {_quote(line)}")
             header_seen = True
             continue
         fields = line.split(",")
@@ -138,7 +143,7 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
                 raise ValueError(raw)
             freq, value = float(fields[0]), float(fields[1])
         except ValueError:
-            raise AsdFileError(path, lineno, f"unparseable number in row {line!r}") from None
+            raise AsdFileError(path, lineno, f"unparseable number in row {_quote(line)}") from None
         if not (math.isfinite(freq) and freq > 0.0):
             raise AsdFileError(path, lineno, f"frequency must be positive and finite, got {fields[0]}")
         if not (math.isfinite(value) and value > 0.0):
@@ -194,7 +199,7 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
     if g[0] < lo or g[-1] > hi:  # g is increasing, so its ends decide
         f_bad = float(g[(g < lo) | (g > hi)][0])
         raise ValueError(
-            f"cannot resample {table.label!r}: {f_bad} Hz is outside the tabulated span "
+            f"cannot resample {_quote(table.label)}: {f_bad} Hz is outside the tabulated span "
             f"[{lo} Hz, {hi} Hz]"
         )
     out = 10.0 ** np.interp(np.log10(g), np.log10(table.frequencies), np.log10(table.asd))
@@ -222,7 +227,7 @@ class NoiseBudget:
         if not self.components:
             raise ValueError("need at least one component")
         grid, values = _validated_curve(
-            self.grid, [(f"component {k!r}", v) for k, v in self.components.items()]
+            self.grid, [(f"component {_quote(k)}", v) for k, v in self.components.items()]
         )
         comps = dict(zip(self.components, values))
         power = np.zeros_like(grid)
@@ -240,7 +245,7 @@ def compose(grid, components) -> NoiseBudget:
     comps = [(str(label), values) for label, values in components]
     labels = [label for label, _ in comps]
     if len(set(labels)) != len(labels):
-        raise ValueError(f"component labels must be unique, got {labels}")
+        raise ValueError(f"component labels must be unique, got {_quote(labels)}")
     return NoiseBudget(grid, dict(comps))
 
 

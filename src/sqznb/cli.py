@@ -18,7 +18,7 @@ import click
 # budget, config, interferometer and svgplot load numpy; they are imported in
 # the commands that use them, so propagate, fit and optimize start without it.
 from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
-from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, detected_db, propagate
+from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, _quote, detected_db, propagate
 
 
 class _NumericalFailure(click.ClickException):
@@ -37,12 +37,9 @@ class _Command(click.Command):
             raise click.UsageError(str(exc), ctx) from exc
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json(payload: dict) -> str:
+    """The text of every JSON output, printed or written: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_loss_flags(loss_flags) -> LossChain:
@@ -50,11 +47,11 @@ def _parse_loss_flags(loss_flags) -> LossChain:
     for flag in loss_flags:
         label, sep, value = flag.partition("=")
         if not sep or not label:
-            raise click.UsageError(f"--loss expects LABEL=EFFICIENCY, got {flag!r}")
+            raise click.UsageError(f"--loss expects LABEL=EFFICIENCY, got {_quote(flag)}")
         try:
             elements.append((label, float(value)))
         except ValueError:
-            raise click.UsageError(f"--loss {flag!r}: efficiency is not a number") from None
+            raise click.UsageError(f"--loss {_quote(flag)}: efficiency is not a number") from None
     return LossChain(tuple(elements))
 
 
@@ -86,21 +83,19 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
     losses = eta if eta is not None else _parse_loss_flags(loss_flags)
     result = propagate(inject_db, losses, PhaseNoise(phase_mrad * 1e-3))
     chain = LossChain.from_total(result.efficiency) if eta is not None else losses
-    _emit_json(
-        {
-            "inject_db": float(inject_db),
-            "efficiency": float(result.efficiency),
-            "loss_chain": [{"label": label, "efficiency": float(e)} for label, e in chain],
-            "phase_noise_mrad": float(phase_mrad),
-            "phase_noise_model": "rms-substitution",
-            "variances": {
-                "injected": dataclasses.asdict(result.injected),
-                "after_loss": dataclasses.asdict(result.after_loss),
-                "detected": dataclasses.asdict(result.state),
-            },
-            "detected_db": float(result.detected_db),
-        }
-    )
+    click.echo(_json({
+        "inject_db": inject_db,
+        "efficiency": result.efficiency,
+        "loss_chain": [{"label": label, "efficiency": e} for label, e in chain],
+        "phase_noise_mrad": phase_mrad,
+        "phase_noise_model": "rms-substitution",
+        "variances": {
+            "injected": dataclasses.asdict(result.injected),
+            "after_loss": dataclasses.asdict(result.after_loss),
+            "detected": dataclasses.asdict(result.state),
+        },
+        "detected_db": result.detected_db,
+    }), nl=False)
 
 
 @main.command("fit")
@@ -110,17 +105,15 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
 def fit_cmd(injected, detected, phase_mrad):
     """Fit the detection efficiency behind a measured squeezing level."""
     result = fit_efficiency(injected, detected, PhaseNoise(phase_mrad * 1e-3))
-    _emit_json(
-        {
-            "inject_db": float(injected),
-            "target_db": float(detected),
-            "phase_noise_mrad": float(phase_mrad),
-            "efficiency": float(result.estimate),
-            "residual_db": float(result.residual),
-            "iterations": int(result.iterations),
-            "bracket": [float(result.bracket[0]), float(result.bracket[1])],
-        }
-    )
+    click.echo(_json({
+        "inject_db": injected,
+        "target_db": detected,
+        "phase_noise_mrad": phase_mrad,
+        "efficiency": result.estimate,
+        "residual_db": result.residual,
+        "iterations": result.iterations,
+        "bracket": result.bracket,
+    }), nl=False)
 
 
 @main.command("uncertainty")
@@ -144,16 +137,14 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
         samples=mc_samples,
         seed=seed,
     )
-    _emit_json(
-        {
-            "inputs": {
-                "inject_db": {"value": float(inject_db), "sigma": float(inject_sigma_db)},
-                "efficiency": {"value": float(eta), "sigma": float(eta_sigma)},
-                "phase_noise_mrad": {"value": float(phase_mrad), "sigma": float(phase_sigma_mrad)},
-            },
-            **dataclasses.asdict(result),
-        }
-    )
+    click.echo(_json({
+        "inputs": {
+            "inject_db": {"value": inject_db, "sigma": inject_sigma_db},
+            "efficiency": {"value": eta, "sigma": eta_sigma},
+            "phase_noise_mrad": {"value": phase_mrad, "sigma": phase_sigma_mrad},
+        },
+        **dataclasses.asdict(result),
+    }), nl=False)
 
 
 @main.command("optimize")
@@ -163,34 +154,32 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
 def optimize_cmd(eta, phase_mrad, max_db):
     """Injection level that maximizes detected squeezing under jitter."""
     result = optimal_inject_db(eta, PhaseNoise(phase_mrad * 1e-3), max_db=max_db)
-    _emit_json(
-        {
-            "efficiency": float(eta),
-            "phase_noise_mrad": float(phase_mrad),
-            "optimal_inject_db": float(result.inject_db),
-            "detected_db": float(result.detected_db),
-            "iterations": int(result.iterations),
-        }
-    )
+    click.echo(_json({
+        "efficiency": eta,
+        "phase_noise_mrad": phase_mrad,
+        "optimal_inject_db": result.inject_db,
+        "detected_db": result.detected_db,
+        "iterations": result.iterations,
+    }), nl=False)
 
 
 def _budgets(cfg, policies) -> dict:
     """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
     from .budget import compose, ingest_asd, resample
-    from .interferometer import quantum_noise_curve
+    from .interferometer import quantum_noise_asd
 
     grid = cfg.grid.frequencies()
     tables = [(label, resample(ingest_asd(p, label=label), grid)) for label, p in cfg.components]
     budgets = {}
     for policy in policies:
         setup = dataclasses.replace(cfg.squeezer, angle_policy=policy)
-        curve = quantum_noise_curve(cfg.interferometer, setup, grid)
-        budgets[policy] = compose(grid, [("quantum", curve.asd)] + tables)
+        quantum = quantum_noise_asd(cfg.interferometer, setup, grid)
+        budgets[policy] = compose(grid, [("quantum", quantum)] + tables)
     return budgets
 
 
 def _improvement_dict(imp) -> dict:
-    return {"median": float(imp.median_db), "max": float(imp.max_db)}
+    return {"median": imp.median_db, "max": imp.max_db}
 
 
 def _power_increase_or_none(value_db: float):
@@ -221,21 +210,21 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     from .budget import _write_csvs
     from .svgplot import write_loglog_svg
 
-    csv_paths = [Path(f"{prefix}-{tag}.csv") for tag, _, _ in csvs]
+    tables = [(Path(f"{prefix}-{tag}.csv"), values, [comment]) for tag, values, comment in csvs]
     json_path = Path(f"{prefix}-summary.json")
     svg_path = Path(f"{prefix}.svg")
     json_path.parent.mkdir(parents=True, exist_ok=True)
     limit = _name_max(json_path.parent)
-    targets = [(path, comment) for path, (_, _, comment) in zip(csv_paths, csvs)]
+    targets = [(path, comment) for path, _, (comment,) in tables]
     targets += [(json_path, "the summary")] if summary is not None else []
     targets += [(svg_path, "the plot")] if svg is not None else []
     for path, what in targets:
         if len(os.fsencode(path.name)) > limit:
-            raise ValueError(f"file name for {what!r} is longer than {limit} bytes: {path.name!r}")
-    _write_csvs(grid, [(path, values, [comment]) for path, (_, values, comment) in zip(csv_paths, csvs)])
+            raise ValueError(f"file name for {_quote(what)} is longer than {limit} bytes: {_quote(path.name)}")
+    _write_csvs(grid, tables)
     if summary is not None:
-        files = {tag: path.name for path, (tag, _, _) in zip(csv_paths, csvs)}
-        _write_json(json_path, {**summary, "files": files})
+        files = {tag: path.name for (tag, _, _), (path, _, _) in zip(csvs, tables)}
+        json_path.write_text(_json({**summary, "files": files}), encoding="utf-8")
     if svg is not None:
         curves, title = svg
         write_loglog_svg(svg_path, curves, title=title)
@@ -270,21 +259,21 @@ def budget_cmd(config_path, prefix, with_svg):
 
     summary = {
         "label": cfg.label,
-        "band_hz": list(imp.band),
+        "band_hz": imp.band,
         "improvement_db": _improvement_dict(imp),
         "equivalent_power_increase": {
             "from_median": _power_increase_or_none(imp.median_db),
             "from_max": _power_increase_or_none(imp.max_db),
         },
-        "low_band_hz": list(low.band) if low else None,
+        "low_band_hz": low.band if low else None,
         "low_band_improvement_db": _improvement_dict(low) if low else None,
-        "detected_squeezing_db": float(detected_db(cfg.squeezer.degraded_state())),
+        "detected_squeezing_db": detected_db(cfg.squeezer.degraded_state()),
         "angle_policy": cfg.squeezer.angle_policy,
         "components": sorted(squeezed.components),
         "grid": {
-            "f_min_hz": float(cfg.grid.f_min),
-            "f_max_hz": float(cfg.grid.f_max),
-            "points": int(cfg.grid.points),
+            "f_min_hz": cfg.grid.f_min,
+            "f_max_hz": cfg.grid.f_max,
+            "points": cfg.grid.points,
             "spacing": cfg.grid.spacing,
         },
     }

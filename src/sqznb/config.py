@@ -20,7 +20,7 @@ import numpy as np
 from . import _PROVIDERS
 from .budget import _band
 from .interferometer import InterferometerConfig, SqueezerSetup
-from .states import LossChain, PhaseNoise, as_float, as_whole_number
+from .states import LossChain, PhaseNoise, _quote, as_float, as_whole_number
 
 __all__ = list(_PROVIDERS["config"])
 
@@ -46,7 +46,7 @@ class GridSpec:
         object.__setattr__(self, "f_min", f_min)
         object.__setattr__(self, "points", as_whole_number(self.points, "points", ge=2))
         if self.spacing not in ("log", "linear"):
-            raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
+            raise ValueError(f"spacing must be 'log' or 'linear', got {_quote(self.spacing)}")
         f = self.frequencies()
         if not (f[1:] > f[:-1]).all():
             raise ValueError(
@@ -55,10 +55,19 @@ class GridSpec:
             )
 
     def frequencies(self) -> np.ndarray:
-        """The grid points; the first is exactly ``f_min`` and the last exactly ``f_max``."""
-        if self.spacing == "linear":
-            return np.linspace(self.f_min, self.f_max, self.points)
-        f = np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
+        """The grid points; the first is exactly ``f_min`` and the last exactly ``f_max``.
+
+        A grid that cannot be allocated raises ValueError naming ``points`` and its size.
+        """
+        try:
+            if self.spacing == "linear":
+                return np.linspace(self.f_min, self.f_max, self.points)
+            f = np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
+        except (MemoryError, ValueError) as exc:  # numpy's refusal of a size past its limit is a ValueError
+            raise ValueError(
+                f"points = {self.points} needs a {8 * self.points / 2**30:.3g} GiB grid, "
+                "which could not be allocated"
+            ) from exc
         # 10**log10(x) can miss x by an ulp (3000 -> 3000.000000000001)
         f[0], f[-1] = self.f_min, self.f_max
         return f
@@ -88,7 +97,7 @@ def _safe_name(label: str) -> str:
 
 def _string(value, key: str) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
+        raise ValueError(f"{key} must be a string, got {_quote(value)}")
     return value
 
 
@@ -102,10 +111,10 @@ def _label(value, key: str) -> str:
 def _object(value, where: str, keys) -> dict:
     """``value`` as a JSON object with no key outside ``keys``, as the schema has it."""
     if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object, got {value!r}")
+        raise ValueError(f"{where} must be an object, got {_quote(value)}")
     for key in value:
         if key not in keys:
-            raise ValueError(f"{where} has unknown key {key!r}")
+            raise ValueError(f"{where} has unknown key {_quote(key)}")
     return value
 
 
@@ -175,6 +184,8 @@ def load_run_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     _object(raw, "config", ("label", "interferometer", "squeezer", "grid", "components", "band_hz"))
     interferometer = _parse_interferometer(_object(raw.get("interferometer"), "interferometer", _IFO_KEYS))
     squeezer = _parse_squeezer(_object(raw.get("squeezer", {}), "squeezer", _SQUEEZER_KEYS))
@@ -194,7 +205,7 @@ def load_run_config(path) -> RunConfig:
         reserved = name in ("quantum", "total") or name.startswith(("quantum-", "total-"))
         if name in seen or reserved:
             raise ValueError(
-                f"components[{i}]: duplicate or reserved label {label!r} (file name {name!r})"
+                f"components[{i}]: duplicate or reserved label {_quote(label)} (file name {_quote(name)})"
             )
         seen.add(name)
         file_path = (path.parent / _string(entry.get("file"), f"components[{i}].file")).resolve()
@@ -204,7 +215,7 @@ def load_run_config(path) -> RunConfig:
 
     band_raw = raw.get("band_hz", list(DEFAULT_BAND))
     if not isinstance(band_raw, list) or len(band_raw) != 2:
-        raise ValueError(f"band_hz must be a [low, high] pair of numbers, got {band_raw!r}")
+        raise ValueError(f"band_hz must be a [low, high] pair of numbers, got {_quote(band_raw)}")
     low, high, _ = _band(band_raw, grid.frequencies(), "band_hz")
 
     return RunConfig(

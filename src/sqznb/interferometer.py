@@ -33,7 +33,7 @@ import numpy as np
 from . import _PROVIDERS
 from .budget import _freeze, _validated_curve
 from .states import ANGLE_POLICIES, VACUUM, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
-from .states import as_float, as_inject_db, mix, propagate
+from .states import _quote, as_float, as_inject_db, mix, propagate
 
 __all__ = list(_PROVIDERS["interferometer"])
 
@@ -128,7 +128,7 @@ class SqueezerSetup:
         policy = str(self.angle_policy).replace("_", "-")
         if policy not in ANGLE_POLICIES:
             raise ValueError(
-                f"angle_policy must be one of {ANGLE_POLICIES}, got {self.angle_policy!r}"
+                f"angle_policy must be one of {ANGLE_POLICIES}, got {_quote(self.angle_policy)}"
             )
         object.__setattr__(self, "angle_policy", policy)
         angle = as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")

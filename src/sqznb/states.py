@@ -31,6 +31,9 @@ MAX_INJECT_DB = 3000.0
 #: frequency-dependent optimum (see interferometer.SqueezerSetup).
 ANGLE_POLICIES = ("none", "fixed", "fd-optimal")
 
+#: Longest repr of an input that an error message quotes whole.
+_QUOTE_LIMIT = 400
+
 
 class NumericalRangeError(ValueError):
     """A spectral value left the positive finite range; carries its frequency."""
@@ -38,6 +41,14 @@ class NumericalRangeError(ValueError):
     def __init__(self, message: str, frequency: float | None = None):
         super().__init__(message)
         self.frequency = frequency
+
+
+def _quote(value) -> str:
+    """``repr(value)`` for an error message, cut after _QUOTE_LIMIT characters with a marker giving its length."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}...[{len(text)} characters]"
 
 
 def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str = "") -> float:
@@ -60,8 +71,8 @@ def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str 
             and (lt is None or x < lt)
         ):
             return x
-        raise ValueError(f"{name} must be {_interval(ge, gt, le, lt, unit)}, got {value!r}")
-    raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be {_interval(ge, gt, le, lt, unit)}, got {_quote(value)}")
+    raise ValueError(f"{name} must be a number, got {_quote(value)}")
 
 
 def _interval(ge, gt, le, lt, unit: str) -> str:
@@ -90,9 +101,9 @@ def as_whole_number(value, name: str, *, ge: int = 0) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {_quote(value)}")
     if value < ge:
-        raise ValueError(f"{name} must be >= {ge}, got {value!r}")
+        raise ValueError(f"{name} must be >= {ge}, got {_quote(value)}")
     return int(value)
 
 
@@ -209,7 +220,7 @@ class LossChain:
 
     def __post_init__(self):
         normalized = tuple(
-            (str(label), as_efficiency(eff, f"efficiency for {label!r}"))
+            (str(label), as_efficiency(eff, f"efficiency for {_quote(label)}"))
             for label, eff in self.elements
         )
         object.__setattr__(self, "elements", normalized)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import re
 from html import escape
-from itertools import cycle
 from math import ceil, floor, log10
 from pathlib import Path
 
 import numpy as np
 
 from .budget import _validated_curve
+from .states import _quote
 
 __all__ = ["write_loglog_svg"]
 
@@ -42,17 +42,20 @@ def write_loglog_svg(path, curves, *, title=""):
         raise ValueError("need at least one curve")
     _xml_text(title, "title")
     groups = []
-    for label, x, y in curves:
-        _xml_text(label, f"label {label!r}")
+    for i, (label, x, y) in enumerate(curves):
+        _xml_text(label, f"label {_quote(label)}")
         if not groups or not np.array_equal(groups[-1][0], x):
             groups.append((x, []))
-        groups[-1][1].append((f"curve {label!r}", y))
-    checked = [_validated_curve(x, named) for x, named in groups]
+        groups[-1][1].append((i, label, y))
+    checked = [
+        (*_validated_curve(x, [(f"curve {_quote(label)}", y) for _, label, y in members]), members)
+        for x, members in groups
+    ]
 
-    x0 = floor(log10(min(xs[0] for xs, _ in checked)))
-    x1 = ceil(log10(max(xs[-1] for xs, _ in checked)))
-    y0 = floor(log10(min(y.min() for _, ys in checked for y in ys)))
-    y1 = ceil(log10(max(y.max() for _, ys in checked for y in ys)))
+    x0 = floor(log10(min(xs[0] for xs, _, _ in checked)))
+    x1 = ceil(log10(max(xs[-1] for xs, _, _ in checked)))
+    y0 = floor(log10(min(y.min() for _, ys, _ in checked for y in ys)))
+    y1 = ceil(log10(max(y.max() for _, ys, _ in checked for y in ys)))
     if x1 == x0:
         x1 += 1
     if y1 == y0:
@@ -96,28 +99,25 @@ def write_loglog_svg(path, curves, *, title=""):
             f'text-anchor="end" font-family="sans-serif">{10.0 ** d:g}</text>'
         )
 
-    colors = cycle(PALETTE)
-    for xs, ys in checked:
-        column = [f"{x:.2f}" for x in px(xs.tolist())]
-        for y in ys:
-            points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(y.tolist()))])
-            parts.append(
-                f'<polyline fill="none" stroke="{next(colors)}" stroke-width="1.6" points="{points}"/>'
-            )
-
+    # each curve's colour is its palette entry, on its polyline and on its legend line
     legend_x = MARGIN_L + plot_w - 230
-    legend_y = MARGIN_T + 14
-    for i, (label, _, _) in enumerate(curves):
-        color = PALETTE[i % len(PALETTE)]
-        ly = legend_y + 18 * i
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 32}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{escape(label)}</text>'
-        )
+    legend = []
+    for xs, ys, members in checked:
+        column = [f"{x:.2f}" for x in px(xs.tolist())]
+        for y, (i, label, _) in zip(ys, members):
+            color = PALETTE[i % len(PALETTE)]
+            points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(y.tolist()))])
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
+            ly = MARGIN_T + 14 + 18 * i
+            legend.append(
+                f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" y2="{ly}" '
+                f'stroke="{color}" stroke-width="2"/>'
+            )
+            legend.append(
+                f'<text x="{legend_x + 32}" y="{ly + 4}" font-size="12" '
+                f'font-family="sans-serif">{escape(label)}</text>'
+            )
+    parts += legend
 
     if title:
         parts.append(

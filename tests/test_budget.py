@@ -86,6 +86,14 @@ class TestIngest:
         with pytest.raises(AsdFileError, match=r":2: expected 2 comma-separated fields, got 4$"):
             ingest_asd(path)
 
+    @pytest.mark.parametrize("before, line", [(b"", 3), (b"# a\r\n\r\n# b\n", 6)], ids=["lf", "crlf"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, before, line):
+        path = tmp_path / "table.csv"
+        path.write_bytes(before + f"{ASD_CSV_HEADER}\n10.0,1e-22\n".encode() + b"# caf\xe9\n20.0,2e-22\n")
+        with pytest.raises(AsdFileError, match=rf":{line}: not UTF-8 text: .* byte 0xe9 ") as caught:
+            ingest_asd(path)
+        assert (caught.value.path, caught.value.line) == (str(path), line)
+
     def test_nonpositive_frequency_names_line(self, tmp_path):
         path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\n-20.0,1e-22\n")
         with pytest.raises(AsdFileError, match=r":3: frequency must be positive and finite"):

@@ -14,7 +14,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sqznb import ingest_asd, load_run_config, quantum_noise_curve
+from sqznb import (
+    LossChain,
+    MeasurementWithUncertainty,
+    PhaseNoise,
+    fit_efficiency,
+    ingest_asd,
+    load_run_config,
+    mc_uncertainty,
+    optimal_inject_db,
+    propagate,
+    quantum_noise_curve,
+)
 from sqznb.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -682,6 +693,82 @@ class TestConfigKeysAndTypes:
         assert result.exit_code == 2, result.output
         assert "interferometer.arm_length_m must be finite" in result.output
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda cfg: cfg.update(interferometer=[0] * 100_000), "interferometer must be an object, got [0, 0"),
+            (
+                lambda cfg: cfg["squeezer"].update(losses=[{"label": "x" * 10**6, "efficiency": 2}]),
+                "efficiency for 'xxx",
+            ),
+        ],
+        ids=["interferometer-of-100000-zeros", "loss-label-of-a-million-characters"],
+    )
+    def test_a_huge_input_is_quoted_in_a_bounded_message(self, configs_dir, tmp_path, mutate, message):
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        mutate(cfg)
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqznb", "budget", str(path), "--out", str(tmp_path / "run")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr[:2000]
+        assert message in proc.stderr and " characters]" in proc.stderr
+        assert len(proc.stderr.encode()) < 1024
+
+    def test_config_that_is_not_utf8_names_its_path(self, runner, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"label": "caf\xe9"}')
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert f"{path}: not UTF-8 text" in result.output
+
+    def test_table_that_is_not_utf8_names_its_path_and_line(self, runner, configs_dir, tmp_path):
+        table = tmp_path / "thermal.csv"
+        table.write_bytes(b"# a\r\n# caf\xe9\n" + (configs_dir / "aligo_thermal_synthetic.csv").read_bytes())
+        cfg = json.loads((configs_dir / "aligo.json").read_text())
+        cfg["components"][0]["file"] = str(table)
+        path = tmp_path / "aligo.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert f"{table}:2: not UTF-8 text" in result.output
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_unallocatable_grid_exits_2(self, runner, configs_dir, tmp_path, monkeypatch, error, command, spacing):
+        # the allocation is refused by a stand-in, so no host memory is ever asked for
+        requested = []
+
+        def refuse(start, stop, num, *args, **kwargs):
+            requested.append(num)
+            raise error("simulated allocation failure")
+
+        monkeypatch.setattr(np, "logspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["grid"].update(points=1e13, spacing=spacing)
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
+        assert requested == [10**13]
+        assert result.exit_code == 2, result.output
+        assert "points = 10000000000000 needs a 7.45e+04 GiB grid, which could not be allocated" in result.output
+
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    def test_grid_past_numpy_size_limit_exits_2(self, runner, configs_dir, tmp_path, command):
+        # numpy refuses 1e20 points before allocating
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["grid"]["points"] = 1e20
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert "points = 100000000000000000000 needs a" in result.output
+
     def test_neither_pole_nor_finesse_fails_schema_and_loader(self, configs_dir, schema_dir, tmp_path):
         cfg = json.loads((configs_dir / "h1.json").read_text())
         del cfg["interferometer"]["finesse"]
@@ -817,6 +904,89 @@ class TestProjectCommand:
         assert not np.array_equal(written.asd, ingest_asd(tmp_path / "default-quantum-fixed.csv").asd)
 
 
+def _variances(state) -> dict:
+    return {"v_plus": state.v_plus, "v_minus": state.v_minus}
+
+
+def _propagate_payload(losses, chain, phase_mrad) -> dict:
+    result = propagate(10.3, losses, PhaseNoise(phase_mrad * 1e-3))
+    return {
+        "inject_db": 10.3,
+        "efficiency": result.efficiency,
+        "loss_chain": [{"label": label, "efficiency": eta} for label, eta in chain],
+        "phase_noise_mrad": phase_mrad,
+        "phase_noise_model": "rms-substitution",
+        "variances": {
+            "injected": _variances(result.injected),
+            "after_loss": _variances(result.after_loss),
+            "detected": _variances(result.state),
+        },
+        "detected_db": result.detected_db,
+    }
+
+
+def _fit_payload() -> dict:
+    result = fit_efficiency(10.3, 2.21, PhaseNoise(0.0))
+    return {
+        "inject_db": 10.3,
+        "target_db": 2.21,
+        "phase_noise_mrad": 0.0,
+        "efficiency": result.estimate,
+        "residual_db": result.residual,
+        "iterations": 0,
+        "bracket": [result.estimate, result.estimate],
+    }
+
+
+def _optimize_payload() -> dict:
+    result = optimal_inject_db(1.0, PhaseNoise(35.0 * 1e-3))
+    return {
+        "efficiency": 1.0,
+        "phase_noise_mrad": 35.0,
+        "optimal_inject_db": result.inject_db,
+        "detected_db": result.detected_db,
+        "iterations": 0,
+    }
+
+
+def _uncertainty_payload() -> dict:
+    result = mc_uncertainty(
+        MeasurementWithUncertainty(10.3, 0.2),
+        MeasurementWithUncertainty(0.44, 0.02),
+        MeasurementWithUncertainty(37.0 * 1e-3, 6.0 * 1e-3),
+        samples=2000,
+        seed=42,
+    )
+    return {
+        "inputs": {
+            "inject_db": {"value": 10.3, "sigma": 0.2},
+            "efficiency": {"value": 0.44, "sigma": 0.02},
+            "phase_noise_mrad": {"value": 37.0, "sigma": 6.0},
+        },
+        "mean_db": result.mean_db,
+        "sigma_db": result.sigma_db,
+        "first_order_sigma_db": result.first_order_sigma_db,
+        "clamped": result.clamped,
+        "samples": 2000,
+        "seed": 42,
+    }
+
+
+#: Arguments of each JSON command, with the payload built in process from the library's results.
+CHAIN = (("mm", 0.75), ("omc", 0.82), ("faraday", 0.80))
+EXACT_STDOUT = {
+    ("propagate", "--inject-db", "10.3", "--eta", "0.44", "--phase-mrad", "37"): (
+        lambda: _propagate_payload(0.44, [("total", 0.44)], 37.0)
+    ),
+    ("propagate", "--inject-db", "10.3", "--loss", "mm=0.75", "--loss", "omc=0.82", "--loss", "faraday=0.80"): (
+        lambda: _propagate_payload(LossChain(CHAIN), CHAIN, 0.0)
+    ),
+    ("fit", "--injected", "10.3", "--detected", "2.21", "--phase-mrad", "0"): _fit_payload,
+    ("optimize", "--eta", "1.0", "--phase-mrad", "35"): _optimize_payload,
+    ("uncertainty", "--mc-samples", "2000"): _uncertainty_payload,
+}
+
+
 class TestDeterminism:
     def test_budget_outputs_are_byte_identical(self, runner, configs_dir, tmp_path):
         files = {}
@@ -850,6 +1020,13 @@ class TestDeterminism:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+    @pytest.mark.parametrize("args", list(EXACT_STDOUT), ids=" ".join)
+    def test_json_stdout_is_the_library_result_dumped_once(self, runner, args):
+        # the exact text: key order, int against float and the final newline
+        result = runner.invoke(main, list(args))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == json.dumps(EXACT_STDOUT[args](), indent=2, sort_keys=True) + "\n"
 
     def test_console_entry_point(self):
         proc = subprocess.run(
