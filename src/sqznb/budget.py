@@ -118,12 +118,11 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
     non-increasing frequency, non-positive value).
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # exc.object is the whole file; bytes.splitlines ends lines where text mode does
-        line = len((exc.object[: exc.start] + b"-").splitlines())
-        raise AsdFileError(path, line, f"not UTF-8 text: {exc}") from None
+        raise AsdFileError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from None
     header_seen = False
     rows: list[tuple[int, float, float]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops the CR of CRLF

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import click
@@ -197,6 +198,11 @@ def _name_max(directory: Path) -> int:
     return limit if limit > 0 else 255
 
 
+def _safe_name(label: str) -> str:
+    """The form of a component label used in output file names."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
+
+
 def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     """Write the files of a run; every output name is checked before the first is written.
 
@@ -205,7 +211,8 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     ``<prefix>-summary.json``; and ``svg``, a ``(curves, title)`` pair, to
     ``<prefix>.svg``.  ``grid`` and the values are a NoiseBudget's arrays, checked
     and frozen there, so they are written as they are.  A name longer than the
-    file system takes is a ValueError naming what that file would have held.
+    file system takes is a ValueError naming what that file would have held,
+    and two outputs on one path are a ValueError naming both and the file.
     """
     from .budget import _write_csvs
     from .svgplot import write_loglog_svg
@@ -218,9 +225,13 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
     targets = [(path, comment) for path, _, (comment,) in tables]
     targets += [(json_path, "the summary")] if summary is not None else []
     targets += [(svg_path, "the plot")] if svg is not None else []
+    owners = {}
     for path, what in targets:
         if len(os.fsencode(path.name)) > limit:
             raise ValueError(f"file name for {_quote(what)} is longer than {limit} bytes: {_quote(path.name)}")
+        if path in owners:
+            raise ValueError(f"outputs {_quote(owners[path])} and {_quote(what)} would both go to {_quote(str(path))}")
+        owners[path] = what
     _write_csvs(grid, tables)
     if summary is not None:
         files = {tag: path.name for (tag, _, _), (path, _, _) in zip(csvs, tables)}
@@ -237,7 +248,7 @@ def _write_run(prefix: str, grid, csvs, svg=None, summary=None) -> None:
 def budget_cmd(config_path, prefix, with_svg):
     """Compose the noise budget for a config, with and without squeezing."""
     from .budget import improvement_db
-    from .config import LOW_BAND, _safe_name, load_run_config
+    from .config import LOW_BAND, load_run_config
 
     cfg = load_run_config(config_path)
     budgets = _budgets(cfg, dict.fromkeys([cfg.squeezer.angle_policy, "none"]))
@@ -313,7 +324,3 @@ def project_cmd(config_path, mode, prefix):
         curves.append((f"quantum ({policy})", grid, quantum))
         curves.append((f"total ({policy})", grid, budget.total))
     _write_run(prefix, grid, csvs, svg=(curves, cfg.label or "projection"))
-
-
-if __name__ == "__main__":
-    main()

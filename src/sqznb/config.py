@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,11 +88,6 @@ class RunConfig:
 #: The keys of the two larger sections, as in docs/schema/runconfig.schema.json.
 _IFO_KEYS = ("label", "arm_length_m", "mirror_mass_kg", "arm_power_w", "wavelength_m", "cavity_pole_hz", "finesse")
 _SQUEEZER_KEYS = ("inject_db", "losses", "phase_noise_mrad", "angle_policy", "fixed_angle_rad")
-
-
-def _safe_name(label: str) -> str:
-    """The form of a component label used in output file names."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
 
 
 def _string(value, key: str) -> str:
@@ -177,7 +172,8 @@ def load_run_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises ValueError (with the offending key in the message) for missing
-    or ill-typed entries, out-of-range values, or missing component files.
+    or ill-typed entries, out-of-range values, or missing component files,
+    and (with the path in the message) for a file that is not UTF-8 JSON.
     """
     path = Path(path)
     try:
@@ -186,6 +182,10 @@ def load_run_config(path) -> RunConfig:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    except ValueError:  # json.loads's one other refusal: an integer past int()'s digit limit
+        raise ValueError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     _object(raw, "config", ("label", "interferometer", "squeezer", "grid", "components", "band_hz"))
     interferometer = _parse_interferometer(_object(raw.get("interferometer"), "interferometer", _IFO_KEYS))
     squeezer = _parse_squeezer(_object(raw.get("squeezer", {}), "squeezer", _SQUEEZER_KEYS))
@@ -195,19 +195,9 @@ def load_run_config(path) -> RunConfig:
     raw_components = raw.get("components", [])
     if not isinstance(raw_components, list):
         raise ValueError("components must be a list of {label, file} objects")
-    seen = set()
     for i, entry in enumerate(raw_components):
         entry = _object(entry, f"components[{i}]", ("label", "file"))
         label = _label(entry.get("label"), f"components[{i}].label")
-        # budget writes each component to <prefix>-<file name form>.csv next to
-        # its quantum and total curves, so the rule applies to that form
-        name = _safe_name(label)
-        reserved = name in ("quantum", "total") or name.startswith(("quantum-", "total-"))
-        if name in seen or reserved:
-            raise ValueError(
-                f"components[{i}]: duplicate or reserved label {_quote(label)} (file name {_quote(name)})"
-            )
-        seen.add(name)
         file_path = (path.parent / _string(entry.get("file"), f"components[{i}].file")).resolve()
         if not file_path.is_file():
             raise ValueError(f"components[{i}]: file not found: {file_path}")

@@ -125,12 +125,10 @@ class SqueezerSetup:
             raise ValueError("chain must be a LossChain")
         if not isinstance(self.phase_noise, PhaseNoise):
             raise ValueError("phase_noise must be a PhaseNoise")
-        policy = str(self.angle_policy).replace("_", "-")
-        if policy not in ANGLE_POLICIES:
+        if not isinstance(self.angle_policy, str) or self.angle_policy not in ANGLE_POLICIES:
             raise ValueError(
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {_quote(self.angle_policy)}"
             )
-        object.__setattr__(self, "angle_policy", policy)
         angle = as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
         object.__setattr__(self, "fixed_angle", angle)
 

@@ -86,7 +86,16 @@ class TestIngest:
         with pytest.raises(AsdFileError, match=r":2: expected 2 comma-separated fields, got 4$"):
             ingest_asd(path)
 
-    @pytest.mark.parametrize("before, line", [(b"", 3), (b"# a\r\n\r\n# b\n", 6)], ids=["lf", "crlf"])
+    def test_a_lone_cr_does_not_end_a_row(self, tmp_path):
+        path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\r20.0,2e-22\n")
+        with pytest.raises(AsdFileError, match=r":2: expected 2 comma-separated fields, got 3$"):
+            ingest_asd(path)
+
+    @pytest.mark.parametrize(
+        "before, line",
+        [(b"", 3), (b"# a\r\n\r\n# b\n", 6), (b"# a\r# b\n", 4)],
+        ids=["lf", "crlf", "lone-cr"],
+    )
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, before, line):
         path = tmp_path / "table.csv"
         path.write_bytes(before + f"{ASD_CSV_HEADER}\n10.0,1e-22\n".encode() + b"# caf\xe9\n20.0,2e-22\n")

@@ -428,7 +428,7 @@ class TestBudgetCommand:
             {"interferometer": {"arm_length_m": 4000.0, "mirror_mass_kg": 10.7, "arm_power_w": 4e4}},
             {"components": [{"label": "ghost", "file": "missing.csv"}]},
             {"squeezer": {"inject_db": 10.3, "angle_policy": "sideways"}},
-            {"components": [{"label": "total", "file": "config.json"}]},  # reserved label
+            {"components": [{"label": "thermal", "file": "config.json"}]},  # not an ASD table
         ],
     )
     def test_config_errors_exit_2(self, runner, tmp_path, overrides):
@@ -510,18 +510,32 @@ class TestBudgetCommand:
         assert "not both" in result.output
 
     @pytest.mark.parametrize(
-        "labels",
-        [["total reference"], ["a b", "a-b"]],
-        ids=["overwrites-reference-total", "one-file-for-two-labels"],
+        "labels, first",
+        [(["total"], "total, squeezer as configured"), (["total reference"], "total, squeezer off"),
+         (["a b", "a-b"], "component a b")],
+        ids=["overwrites-total", "overwrites-reference-total", "one-file-for-two-labels"],
     )
-    def test_labels_colliding_as_file_names_exit_2(self, runner, configs_dir, tmp_path, labels):
+    def test_labels_colliding_as_file_names_exit_2(self, runner, configs_dir, tmp_path, labels, first):
         table = str(configs_dir / "aligo_thermal_synthetic.csv")
         components = [{"label": label, "file": table} for label in labels]
         cfg = write_config(tmp_path, components=components)
         result = runner.invoke(main, ["budget", str(cfg), "--out", str(tmp_path / "run")])
         assert result.exit_code == 2, result.output
-        assert "duplicate or reserved label" in result.output
+        shared = tmp_path / f"run-{labels[-1].replace(' ', '-')}.csv"
+        owners = f"'{first} (test)' and 'component {labels[-1]} (test)'"
+        assert f"{owners} would both go to '{shared}'" in result.output
         assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    @pytest.mark.parametrize("labels", [["quantum"], ["thermal", "thermal"]], ids=["quantum", "duplicate"])
+    def test_labels_compose_rejects_exit_2(self, runner, configs_dir, tmp_path, command, labels):
+        table = str(configs_dir / "aligo_thermal_synthetic.csv")
+        cfg = write_config(tmp_path, components=[{"label": label, "file": table} for label in labels])
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, str(cfg), "--out", str(out / "run")])
+        assert result.exit_code == 2, result.output
+        assert "component labels must be unique" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\u2028"])
     def test_multiline_label_keeps_every_csv_readable(self, runner, tmp_path, newline):
@@ -582,6 +596,28 @@ class TestLabelsThatReachFiles:
         assert result.exit_code == 2, result.output
         assert "x" * 300 in result.output and "longer than" in result.output
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("label", ["total-seismic", "quantum-radiation", "summary"])
+    def test_budget_takes_a_label_whose_file_no_other_output_uses(self, runner, configs_dir, tmp_path, label):
+        _, path = self.with_label(tmp_path, configs_dir, "components[0].label", label)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["budget", str(path), "--out", str(out / "run"), "--svg"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "run-quantum.csv", f"run-{label}.csv", "run-summary.json", "run-total-reference.csv",
+            "run-total.csv", "run.svg",
+        ])
+        assert ingest_asd(out / f"run-{label}.csv").frequencies.size == 50
+
+    @pytest.mark.parametrize(
+        "label", ["total", "total reference", "total-seismic", "quantum-radiation", "quantum-fixed", "total-none"]
+    )
+    def test_project_takes_every_label_compose_takes(self, runner, configs_dir, tmp_path, label):
+        _, path = self.with_label(tmp_path, configs_dir, "components[0].label", label)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["project", str(path), "--out", str(out / "run")])
+        assert result.exit_code == 0, result.output
+        assert len(list(out.iterdir())) == 7
 
     def test_project_writes_no_component_file_so_a_long_label_passes(
         self, runner, configs_dir, tmp_path
@@ -682,6 +718,23 @@ class TestConfigKeysAndTypes:
         result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
         assert result.exit_code == 2, result.output
         assert f"{path}: JSON nested too deeply to parse" in result.output
+
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"label": ', "not JSON: Expecting value: line 1 column 11 (char 10)"),
+            ('{"grid": {"points": ' + "9" * 5001 + "}}", "an integer has more than"),
+        ],
+        ids=["truncated", "integer-of-5001-digits"],
+    )
+    def test_config_json_cannot_parse_names_its_path(self, runner, tmp_path, command, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {path}: {message}" in result.output
+        assert "sys." not in result.output
 
     def test_integer_past_the_float_range_exits_2(self, runner, configs_dir, tmp_path):
         # JSON has no size limit on integers; float() of a 400-digit one overflows

@@ -85,9 +85,27 @@ class TestInterferometerConfig:
 
 
 class TestSqueezerSetup:
-    def test_policy_normalization(self):
-        setup = SqueezerSetup(angle_policy="fd_optimal")
-        assert setup.angle_policy == "fd-optimal"
+    def test_fd_optimal_spelling_is_rejected_by_api_cli_and_schema(self, configs_dir, schema_dir, tmp_path):
+        import json
+
+        import jsonschema
+        from click.testing import CliRunner
+
+        from sqznb.cli import main
+
+        with pytest.raises(ValueError, match="angle_policy must be one of"):
+            SqueezerSetup(angle_policy="fd_optimal")
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["squeezer"]["angle_policy"] = "fd_optimal"
+        schema = json.loads((schema_dir / "runconfig.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, schema)
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["budget", str(path), "--out", str(tmp_path / "out" / "run")])
+        assert result.exit_code == 2, result.output
+        assert "angle_policy must be one of" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="angle_policy"):

@@ -2,7 +2,8 @@
 library, CLI and run-config paths to one domain rule per input, every
 record to the float that rule returns, the run config, ``budget`` and
 ``project`` to one band rule, every label to well-formed output files or
-none, and the run-config loader to its schema.
+none, the outputs of a run to distinct files, and the run-config loader
+to its schema.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -11,6 +12,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
 import shutil
@@ -310,11 +312,14 @@ CODE_POINTS = (st.integers(0x20, 0x7E) | st.integers(0, 0x10FFFF)).map(chr)
 
 
 def label_text():
-    """Any text, text dense in odd characters, reserved names, and names near 255 bytes."""
+    """Any text, text dense in odd characters, names of other outputs and near them, and names near 255 bytes."""
     return (
         st.text(CODE_POINTS)
         | st.text(CODE_POINTS | st.sampled_from(ODD_CHARS), max_size=12)
-        | st.sampled_from(["total", "quantum-none", "thermal", ""])
+        | st.sampled_from([
+            "total", "total reference", "total-seismic", "quantum", "quantum-none", "quantum-radiation",
+            "summary", "thermal", "a b", "a-b", "",
+        ])
         | st.text(st.sampled_from("ab_."), min_size=245, max_size=300)
     )
 
@@ -357,9 +362,11 @@ def test_every_label_gives_well_formed_files_or_none(run_label, component_label,
         result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
         written = sorted(out.glob("*"))
         if result.exit_code == 2:
-            # the loader rejects the config, or budget a component file name the
-            # file system cannot hold; either way before the first write
-            assert grid is None or (command[0] == "budget" and "longer than" in result.output)
+            # the loader rejects the config, compose the label of the quantum curve,
+            # or budget a component file name the file system cannot hold or another
+            # output already has; each before the first write
+            name_refused = "longer than" in result.output or "would both go to" in result.output
+            assert grid is None or component_label == "quantum" or (command[0] == "budget" and name_refused)
             assert written == []
             continue
         assert result.exit_code == 0, result.output
@@ -377,6 +384,53 @@ def test_every_label_gives_well_formed_files_or_none(run_label, component_label,
 RUNCONFIG_SCHEMA = json.loads((ROOT / "docs" / "schema" / "runconfig.schema.json").read_text())
 ALIGO_CONFIG = json.loads((ROOT / "configs" / "aligo.json").read_text())
 ALIGO_CONFIG["components"][0]["file"] = str(ROOT / "configs" / ALIGO_CONFIG["components"][0]["file"])
+
+
+def file_name_form(label):
+    """A component label as budget puts it in a file name, restated: runs outside [A-Za-z0-9_.-] become '-'."""
+    return re.sub(r"[^A-Za-z0-9_.-]+", "-", label)
+
+
+@st.composite
+def label_pairs(draw):
+    """Two component labels: drawn apart (equal at times), or two spellings of one file name."""
+    first, second = draw(label_text()), draw(label_text())
+    if draw(st.sampled_from(["apart", "apart", "one file"])) == "one file":
+        return first + " ", first + "/"
+    return first, second
+
+
+@settings(SETTINGS, max_examples=40)
+@given(labels=label_pairs())
+def test_outputs_of_a_run_never_share_a_file(labels, label_dir):
+    cfg = copy.deepcopy(H1_CONFIG)
+    cfg["grid"]["points"] = 50
+    table = ROOT / "configs" / "aligo_thermal_synthetic.csv"
+    cfg["components"] = [{"label": label, "file": str(table)} for label in labels]
+    path = label_dir / "pair.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        jsonschema.validate(cfg, RUNCONFIG_SCHEMA)  # the loader's label rule, which names no output
+        composed = len({"quantum", *labels}) == 3  # compose takes unique labels beside its quantum curve
+    except jsonschema.ValidationError:
+        composed = False
+    tags = ["total", "total-reference", "quantum", *map(file_name_form, labels)]
+    names = [f"run-{tag}.csv" for tag in tags] + ["run-summary.json", "run.svg"]
+    fits = all(len(name) <= os.pathconf(label_dir, "PC_NAME_MAX") for name in names)
+    distinct = len(set(names)) == len(names)
+
+    runner = CliRunner()
+    for command, accepted in ((["budget", "--svg"], composed and fits and distinct), (["project"], composed)):
+        out = label_dir / "pair"
+        shutil.rmtree(out, ignore_errors=True)
+        result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
+        written = list(out.glob("*"))
+        if result.exit_code == 2:
+            assert not accepted, result.output
+            assert written == []
+        else:
+            assert result.exit_code == 0 and accepted, result.output
+            assert len(written) == 7  # budget: 5 CSVs, the summary, the plot; project: 6 CSVs, the plot
 
 
 def schema_nodes(node, path=()):
