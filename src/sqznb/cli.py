@@ -165,10 +165,20 @@ def optimize_cmd(eta, phase_mrad, max_db):
 
 
 def _budgets(cfg, policies) -> dict:
-    """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
+    """One NoiseBudget per angle policy, on the config's grid, with each table resampled once.
+
+    A component label the budget already uses, its own ``quantum`` or an
+    earlier component's, is a ValueError naming both entries, raised before
+    any table is read.
+    """
     from .budget import compose, ingest_asd, resample
     from .interferometer import quantum_noise_asd
 
+    owners = {"quantum": "the budget's quantum-noise curve"}
+    for i, (label, _) in enumerate(cfg.components):
+        if label in owners:
+            raise ValueError(f"components[{i}].label {_quote(label)} is already used by {owners[label]}")
+        owners[label] = f"components[{i}]"
     grid = cfg.grid.frequencies()
     tables = [(label, resample(ingest_asd(p, label=label), grid)) for label, p in cfg.components]
     budgets = {}

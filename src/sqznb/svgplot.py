@@ -34,41 +34,36 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 def write_loglog_svg(path, curves, *, title=""):
     """Write a log-log ASD-against-frequency plot; ``curves`` is a list of (label, x, y).
 
-    Each curve must pass the package's frequency-curve check and each text
-    ``_xml_text``, so a bad input writes no file.  Consecutive curves on equal
-    frequencies share one check and one row of x pixels.
+    A plot holds one grid: each ``x`` must be the first curve's, the same object
+    or an equal array, else ValueError naming the curve.  The grid, the curves
+    and the texts pass the package's checks first, so a bad input writes no
+    file.  The axes take any positive finite value, subnormals included.
     """
     if not curves:
         raise ValueError("need at least one curve")
     _xml_text(title, "title")
-    groups = []
-    for i, (label, x, y) in enumerate(curves):
+    for label, _, _ in curves:
         _xml_text(label, f"label {_quote(label)}")
-        if not groups or not np.array_equal(groups[-1][0], x):
-            groups.append((x, []))
-        groups[-1][1].append((i, label, y))
-    checked = [
-        (*_validated_curve(x, [(f"curve {_quote(label)}", y) for _, label, y in members]), members)
-        for x, members in groups
-    ]
+    grid = curves[0][1]
+    xs, ys = _validated_curve(grid, [(f"curve {_quote(label)}", y) for label, _, y in curves])
+    for label, x, _ in curves:
+        if x is not grid and not np.array_equal(x, xs):
+            raise ValueError(f"curve {_quote(label)} is not on the grid of the first curve")
 
-    x0 = floor(log10(min(xs[0] for xs, _, _ in checked)))
-    x1 = ceil(log10(max(xs[-1] for xs, _, _ in checked)))
-    y0 = floor(log10(min(y.min() for _, ys, _ in checked for y in ys)))
-    y1 = ceil(log10(max(y.max() for _, ys, _ in checked for y in ys)))
-    if x1 == x0:
-        x1 += 1
-    if y1 == y0:
-        y1 += 1
+    x0 = floor(log10(xs[0]))
+    x1 = max(ceil(log10(xs[-1])), x0 + 1)
+    y0 = floor(log10(min(y.min() for y in ys)))
+    y1 = max(ceil(log10(max(y.max() for y in ys))), y0 + 1)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(xs):
-        return [MARGIN_L + (log10(x) - x0) / (x1 - x0) * plot_w for x in xs]
+    # the pixel maps take log10 values, so a tick sits at its decade even where 10**d is 0 or inf
+    def px(logs):
+        return [MARGIN_L + (v - x0) / (x1 - x0) * plot_w for v in logs]
 
-    def py(ys):
-        return [MARGIN_T + plot_h - (log10(y) - y0) / (y1 - y0) * plot_h for y in ys]
+    def py(logs):
+        return [MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h for v in logs]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -78,45 +73,40 @@ def write_loglog_svg(path, curves, *, title=""):
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
 
-    for d, gx in zip(range(x0, x1 + 1), px([10.0**d for d in range(x0, x1 + 1)])):
-        if d not in (x0,):
+    for d, gx in zip(range(x0, x1 + 1), px(range(x0, x1 + 1))):
+        if d != x0:
             parts.append(
                 f'<line x1="{gx:.2f}" y1="{MARGIN_T}" x2="{gx:.2f}" y2="{MARGIN_T + plot_h}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         parts.append(
             f'<text x="{gx:.2f}" y="{MARGIN_T + plot_h + 20}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{10.0 ** d:g}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_decade(d)}</text>'
         )
-    for d, gy in zip(range(y0, y1 + 1), py([10.0**d for d in range(y0, y1 + 1)])):
-        if d not in (y0,):
+    for d, gy in zip(range(y0, y1 + 1), py(range(y0, y1 + 1))):
+        if d != y0:
             parts.append(
                 f'<line x1="{MARGIN_L}" y1="{gy:.2f}" x2="{MARGIN_L + plot_w}" y2="{gy:.2f}" '
                 'stroke="#dddddd" stroke-width="1"/>'
             )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{gy + 4:.2f}" font-size="12" '
-            f'text-anchor="end" font-family="sans-serif">{10.0 ** d:g}</text>'
+            f'text-anchor="end" font-family="sans-serif">{_decade(d)}</text>'
         )
 
     # each curve's colour is its palette entry, on its polyline and on its legend line
     legend_x = MARGIN_L + plot_w - 230
     legend = []
-    for xs, ys, members in checked:
-        column = [f"{x:.2f}" for x in px(xs.tolist())]
-        for y, (i, label, _) in zip(ys, members):
-            color = PALETTE[i % len(PALETTE)]
-            points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(y.tolist()))])
-            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
-            ly = MARGIN_T + 14 + 18 * i
-            legend.append(
-                f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" y2="{ly}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            legend.append(
-                f'<text x="{legend_x + 32}" y="{ly + 4}" font-size="12" '
-                f'font-family="sans-serif">{escape(label)}</text>'
-            )
+    column = [f"{x:.2f}" for x in px(map(log10, xs.tolist()))]
+    for i, ((label, _, _), y) in enumerate(zip(curves, ys)):
+        color = PALETTE[i % len(PALETTE)]
+        points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(map(log10, y.tolist())))])
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
+        ly = MARGIN_T + 14 + 18 * i
+        legend += [
+            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" y2="{ly}" stroke="{color}" stroke-width="2"/>',
+            f'<text x="{legend_x + 32}" y="{ly + 4}" font-size="12" font-family="sans-serif">{escape(label)}</text>',
+        ]
     parts += legend
 
     if title:
@@ -134,6 +124,11 @@ def write_loglog_svg(path, curves, *, title=""):
     )
     parts.append("</svg>")
     Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+
+
+def _decade(d: int) -> str:
+    """The tick label of decade ``d``: ``10**d`` as ``:g`` has it, or ``1e±d`` past the normal floats."""
+    return f"{10.0 ** d:g}" if -307 <= d <= 308 else f"1e{d:+d}"
 
 
 def _xml_text(text: str, what: str) -> str:

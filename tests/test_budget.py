@@ -370,7 +370,7 @@ def polylines(path):
 
 
 class TestSvgGridReuse:
-    """Curves on equal frequencies share one row of x pixels; the bytes do not depend on it."""
+    """A plot holds one grid: every curve's frequencies are the first curve's."""
 
     GRID = np.logspace(1, 4, 60)
     OTHER = np.logspace(1.5, 3.5, 60)  # another grid of the same length
@@ -389,31 +389,56 @@ class TestSvgGridReuse:
         write_loglog_svg(tmp_path / "copies.svg", copies)
         assert (tmp_path / "shared.svg").read_bytes() == (tmp_path / "copies.svg").read_bytes()
 
-    def test_points_do_not_depend_on_the_order_of_two_grids(self, tmp_path):
+    @pytest.mark.parametrize("other", [OTHER, OTHER[:50], OTHER.tolist()], ids=["same-length", "shorter", "list"])
+    def test_another_grid_names_its_curve_and_writes_no_file(self, tmp_path, other):
         from sqznb.svgplot import write_loglog_svg
 
-        curves = [("a", self.GRID, self.values(1)), ("b", self.GRID, self.values(2)),
-                  ("c", self.OTHER, self.values(3)), ("d", self.OTHER, self.values(4))]
-        write_loglog_svg(tmp_path / "forward.svg", curves)
-        write_loglog_svg(tmp_path / "reverse.svg", curves[::-1])
-        forward = polylines(tmp_path / "forward.svg")
-        assert forward == polylines(tmp_path / "reverse.svg")[::-1]
-        assert len(set(forward)) == 4
+        curves = [("a", self.GRID, self.values(1)), ("b", other, self.values(2)[: len(other)])]
+        with pytest.raises(ValueError, match="curve 'b'"):
+            write_loglog_svg(tmp_path / "two.svg", curves)
+        assert not (tmp_path / "two.svg").exists()
+
+    def test_a_bad_first_grid_is_reported_by_the_curve_rule(self, tmp_path):
+        from sqznb.svgplot import write_loglog_svg
+
+        grid = np.array([10.0, NAN, 30.0])
+        with pytest.raises(ValueError, match=f"^{POSITIVE}$"):
+            write_loglog_svg(tmp_path / "nan.svg", [("a", grid, [1.0, 2.0, 3.0]), ("b", grid.copy(), [1.0, 2.0, 3.0])])
+        assert not (tmp_path / "nan.svg").exists()
 
     def test_points_match_the_per_point_formula(self, tmp_path):
         from sqznb.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, write_loglog_svg
 
         # x spans decades 1..4 and y decades -24..-20, the axis ends of the plot
         y = np.concatenate([[1e-24], self.values(5)[1:-1], [1e-20]])
-        write_loglog_svg(tmp_path / "one.svg", [("a", self.GRID, y), ("b", self.OTHER, y)])
+        write_loglog_svg(tmp_path / "one.svg", [("a", self.GRID, y), ("b", self.GRID, y[::-1])])
         plot_w, plot_h = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
-        for grid, points in zip((self.GRID, self.OTHER), polylines(tmp_path / "one.svg")):
+        for values, points in zip((y, y[::-1]), polylines(tmp_path / "one.svg")):
             want = " ".join(
                 f"{MARGIN_L + (math.log10(fx) - 1) / 3 * plot_w:.2f},"
                 f"{MARGIN_T + plot_h - (math.log10(fy) + 24) / 4 * plot_h:.2f}"
-                for fx, fy in zip(grid.tolist(), y.tolist())
+                for fx, fy in zip(self.GRID.tolist(), values.tolist())
             )
             assert points == want
+
+    def test_extreme_values_give_a_plot_with_every_decade(self, tmp_path):
+        import xml.etree.ElementTree as ET
+        from decimal import Decimal
+
+        from sqznb.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, write_loglog_svg
+
+        # x from the least subnormal, y up to near the largest float: 10**d is 0 or inf at the axis ends
+        x = np.array([5e-324, 1e-300, 1.0, 1e300, 1.7e308])
+        y = np.array([1.7e308, 5e-324, 1e-200, 2.2250738585072014e-308, 1.0])
+        write_loglog_svg(tmp_path / "wide.svg", [("a", x, y)])
+        texts = [el.text for el in ET.parse(tmp_path / "wide.svg").iter("{http://www.w3.org/2000/svg}text")]
+        decades = [Decimal(10) ** d for d in range(-324, 310)]
+        assert [Decimal(t) for t in texts[: 2 * len(decades)]] == decades + decades
+        assert texts[0] == texts[len(decades)] == "1e-324" and texts[len(decades) - 1] == "1e+309"
+        (points,) = polylines(tmp_path / "wide.svg")
+        for point in points.split():
+            px, py = map(float, point.split(","))
+            assert MARGIN_L <= px <= WIDTH - MARGIN_R and MARGIN_T <= py <= HEIGHT - MARGIN_B
 
 
 class TestImprovement:

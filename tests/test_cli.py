@@ -527,14 +527,24 @@ class TestBudgetCommand:
         assert not list(tmp_path.glob("run*"))
 
     @pytest.mark.parametrize("command", ["budget", "project"])
-    @pytest.mark.parametrize("labels", [["quantum"], ["thermal", "thermal"]], ids=["quantum", "duplicate"])
-    def test_labels_compose_rejects_exit_2(self, runner, configs_dir, tmp_path, command, labels):
-        table = str(configs_dir / "aligo_thermal_synthetic.csv")
-        cfg = write_config(tmp_path, components=[{"label": label, "file": table} for label in labels])
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["quantum"], "components[0].label 'quantum' is already used by the budget's quantum-noise curve"),
+            (["thermal", "seismic", "thermal"], "components[2].label 'thermal' is already used by components[0]"),
+        ],
+        ids=["quantum", "duplicate"],
+    )
+    def test_a_used_label_names_its_entry_before_any_table_is_read(
+        self, runner, configs_dir, tmp_path, command, labels, message
+    ):
+        # the last component's file is no ASD table, so reading it would be a different error
+        files = [str(configs_dir / "aligo_thermal_synthetic.csv")] * (len(labels) - 1) + [str(configs_dir / "h1.json")]
+        cfg = write_config(tmp_path, components=[{"label": label, "file": f} for label, f in zip(labels, files)])
         out = tmp_path / "out"
         result = runner.invoke(main, [command, str(cfg), "--out", str(out / "run")])
         assert result.exit_code == 2, result.output
-        assert "component labels must be unique" in result.output
+        assert f"Error: {message}\n" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\u2028"])
@@ -1128,6 +1138,27 @@ def test_overflowing_quantum_noise_exits_3_with_one_line_on_stderr(configs_dir, 
     # no usage lines and no numpy RuntimeWarning
     assert proc.stderr == "Error: quantum noise ASD is not a positive finite number at 10.0 Hz\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, files", [(["budget", "--svg"], 6), (["project"], 7)], ids=["budget", "project"])
+def test_a_subnormal_component_value_reaches_the_plot(runner, configs_dir, tmp_path, command, files):
+    import xml.etree.ElementTree as ET
+
+    table = tmp_path / "subnormal.csv"
+    table.write_text("frequency_hz,asd_strain_per_sqrt_hz\n5.0,1e-23\n100.0,5e-324\n20000.0,1e-23\n")
+    cfg = json.loads((configs_dir / "aligo.json").read_text())
+    cfg["components"] = [{"label": "thermal", "file": str(table)}]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
+    assert result.exit_code == 0, result.output
+    assert len(list(out.iterdir())) == files
+    for csv in out.glob("*.csv"):
+        assert ingest_asd(csv).frequencies.size == 1000
+    y_ticks = [el.text for el in ET.parse(out / "run.svg").iter("{http://www.w3.org/2000/svg}text")
+               if el.get("text-anchor") == "end"]
+    assert y_ticks[0] == "1e-324"
 
 
 @pytest.mark.parametrize("pathconf", [OSError, ValueError, AttributeError, -1], ids=str)

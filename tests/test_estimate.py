@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqznb import (
     FitResult,
@@ -16,6 +18,8 @@ from sqznb import (
     optimal_inject_db,
     propagate,
 )
+from sqznb.estimate import _THETA_MAX
+from sqznb.states import MAX_INJECT_DB
 
 H1_INJECT = MeasurementWithUncertainty(10.3, 0.2)
 H1_EFFICIENCY = MeasurementWithUncertainty(0.44, 0.02)
@@ -238,6 +242,104 @@ class TestMcUncertainty:
             mc_uncertainty(
                 H1_INJECT, MeasurementWithUncertainty(1.5, 0.0), H1_PHASE, samples=2000
             )
+
+
+def clipped_normal_nodes(m, low, high, nodes):
+    """Nodes and weights of ``clip(m.value + m.sigma * Z, low, high)``, Z standard normal.
+
+    The point masses at the edges are the normal's tails, from ``math.erf``; the
+    interior is Gauss-Legendre against the normal density, cut at 12 sigma.
+    """
+    if m.sigma == 0.0:
+        return np.array([m.value]), np.array([1.0])
+    # in the units of Z: the edges, and the interior cut at 12 sigma
+    z_low, z_high = (low - m.value) / m.sigma, (high - m.value) / m.sigma
+    a, b = max(z_low, -12.0), min(z_high, 12.0)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    z = 0.5 * (a + b) + 0.5 * (b - a) * t
+    density = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    tails = [0.5 * (1.0 + math.erf(z_low / math.sqrt(2.0))), 0.5 * (1.0 - math.erf(z_high / math.sqrt(2.0)))]
+    x = np.concatenate([[low], m.value + m.sigma * z, [high]])
+    return x, np.concatenate([tails[:1], 0.5 * (b - a) * w * density, tails[1:]])
+
+
+def quadrature_moments(inject_db, efficiency, phase_rms, nodes=80):
+    """Mean, standard deviation and kurtosis of the detected dB under the clamped inputs, by quadrature.
+
+    The chain restated: each quadrature variance is mixed with vacuum at power
+    transmission eta, jitter mixes the orthogonal one in with weight sin(theta)**2.
+    """
+    (r, wr), (e, we), (th, wt) = (
+        clipped_normal_nodes(inject_db, 0.0, MAX_INJECT_DB, nodes),
+        clipped_normal_nodes(efficiency, 0.0, 1.0, nodes),
+        clipped_normal_nodes(phase_rms, 0.0, _THETA_MAX, nodes),
+    )
+    r, e, th = r[:, None, None], e[None, :, None], th[None, None, :]
+    s2 = np.sin(th) ** 2
+    minus = e * 10.0 ** (-r / 10.0) + (1.0 - e)
+    plus = e * 10.0 ** (r / 10.0) + (1.0 - e)
+    g = -10.0 * np.log10(minus * (1.0 - s2) + plus * s2)
+    w = wr[:, None, None] * we[None, :, None] * wt[None, None, :]
+    mean = float(np.sum(w * g))
+    var = float(np.sum(w * (g - mean) ** 2))
+    kurtosis = float(np.sum(w * (g - mean) ** 4)) / var**2 if var > 0.0 else 1.0
+    return mean, math.sqrt(var), kurtosis
+
+
+HEAVY = (
+    MeasurementWithUncertainty(10.3, 0.2),
+    MeasurementWithUncertainty(0.9, 0.08),
+    MeasurementWithUncertainty(0.020, 0.015),
+)
+
+
+def assert_within_4_standard_errors(result, inputs):
+    mean, sigma, kurtosis = quadrature_moments(*inputs)
+    n = result.samples
+    slack = 1e-9 * (1.0 + abs(mean))  # rounding of a constant detected level
+    assert abs(result.mean_db - mean) <= 4.0 * sigma / math.sqrt(n) + slack
+    assert abs(result.sigma_db - sigma) <= 4.0 * sigma * math.sqrt((kurtosis - 1.0) / (4.0 * n)) + slack
+
+
+@st.composite
+def clamping(draw, low, high, max_sigma):
+    """A measurement on [low, high] within 1.5 sigma of an edge: at least 6.7 % of its draws clamp."""
+    sigma = draw(st.floats(0.0, max_sigma))
+    depth = draw(st.floats(0.0, 1.5)) * sigma
+    value = low + depth if draw(st.booleans()) else high - depth
+    return MeasurementWithUncertainty(min(max(value, low), high), sigma)
+
+
+class TestMcAgainstQuadrature:
+    """The Monte Carlo agrees with an exact quadrature of its clamped inputs, within its standard errors."""
+
+    def test_quadrature_converges(self):
+        coarse, fine = quadrature_moments(*HEAVY, nodes=80), quadrature_moments(*HEAVY, nodes=160)
+        assert coarse == pytest.approx(fine, abs=1e-10)
+        assert coarse[:2] == pytest.approx((7.3936421851, 1.5407126988), abs=1e-9)
+
+    def test_quadrature_of_the_h1_inputs(self):
+        mean, sigma, _ = quadrature_moments(H1_INJECT, H1_EFFICIENCY, H1_PHASE)
+        assert (mean, sigma) == pytest.approx((2.1651870197753835, 0.1289762464936796), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_heavy_clamping_at_a_million_samples(self, seed):
+        result = mc_uncertainty(*HEAVY, samples=1_000_000, seed=seed)
+        # about 10 % of the efficiency draws and 9 % of the jitter draws clamp
+        assert result.clamped["efficiency"] > 90_000 and result.clamped["phase_rms"] > 80_000
+        assert_within_4_standard_errors(result, HEAVY)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(
+        inject=clamping(0.0, MAX_INJECT_DB, 3.0),
+        efficiency=clamping(0.0, 1.0, 0.3),
+        phase=clamping(0.0, _THETA_MAX, 0.1),
+        seed=st.integers(0, 2**32),
+    )
+    def test_heavily_clamped_inputs(self, inject, efficiency, phase, seed):
+        assume(inject.sigma > 0.0 or efficiency.sigma > 0.0 or phase.sigma > 0.0)
+        inputs = (inject, efficiency, phase)
+        assert_within_4_standard_errors(mc_uncertainty(*inputs, samples=100_000, seed=seed), inputs)
 
 
 class TestOptimalInjectDb:

@@ -2,7 +2,8 @@
 library, CLI and run-config paths to one domain rule per input, every
 record to the float that rule returns, the run config, ``budget`` and
 ``project`` to one band rule, every label to well-formed output files or
-none, the outputs of a run to distinct files, and the run-config loader
+none, the outputs of a run to distinct files, every component value a
+table can hold to well-formed files or none, and the run-config loader
 to its schema.
 
 Examples are derandomized so every run checks the same inputs.
@@ -23,7 +24,7 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqznb import (
@@ -431,6 +432,53 @@ def test_outputs_of_a_run_never_share_a_file(labels, label_dir):
         else:
             assert result.exit_code == 0 and accepted, result.output
             assert len(written) == 7  # budget: 5 CSVs, the summary, the plot; project: 6 CSVs, the plot
+
+
+#: A 20-point aligo grid; a table on its points reaches the budget bit-exactly.
+SMALL_GRID = GridSpec(10.0, 10000.0, 20).frequencies()
+TINY, HUGE = 5e-324, 1.7e308
+
+
+@st.composite
+def positive_floats_log_uniform(draw, size):
+    """``size`` floats, log-uniform over a drawn span of decades from the least subnormal to near the largest float."""
+    decades = st.floats(min_value=math.log10(TINY), max_value=math.log10(HUGE))
+    ends = sorted(draw(st.lists(decades, min_size=2, max_size=2)))
+    logs = draw(st.lists(st.floats(min_value=ends[0], max_value=ends[1]), min_size=size, max_size=size))
+    return [min(max(10.0 ** e, TINY), HUGE) for e in logs]
+
+
+@settings(SETTINGS, max_examples=40)
+@given(values=positive_floats_log_uniform(SMALL_GRID.size))
+@example(values=[TINY] * SMALL_GRID.size)
+@example(values=[HUGE] * SMALL_GRID.size)
+@example(values=[1e-23] * 6 + [TINY] + [1e-23] * 13)
+def test_every_table_value_gives_well_formed_files_or_none(values, label_dir):
+    table = label_dir / "extreme.csv"
+    rows = [f"{f!r},{v!r}" for f, v in zip(SMALL_GRID.tolist(), values)]
+    table.write_text("\n".join([ASD_CSV_HEADER, *rows, ""]))
+    cfg = copy.deepcopy(ALIGO_CONFIG)
+    cfg["grid"]["points"] = SMALL_GRID.size
+    cfg["components"] = [{"label": "extreme", "file": str(table)}]
+    path = label_dir / "extreme.json"
+    path.write_text(json.dumps(cfg))
+
+    runner = CliRunner()
+    for command, files in ((["budget", "--svg"], 6), (["project"], 7)):
+        out = label_dir / "extreme"
+        shutil.rmtree(out, ignore_errors=True)
+        result = runner.invoke(main, [command[0], str(path), "--out", str(out / "run"), *command[1:]])
+        written = list(out.glob("*"))
+        if result.exit_code != 0:
+            assert result.exit_code in (2, 3), result.output
+            assert written == []
+            continue
+        assert len(written) == files
+        for csv in out.glob("*.csv"):
+            assert_csv_round_trips(csv, SMALL_GRID)
+        ET.parse(out / "run.svg")
+        if command[0] == "budget":
+            json.loads((out / "run-summary.json").read_text(), parse_constant=_reject_constant)
 
 
 def schema_nodes(node, path=()):
