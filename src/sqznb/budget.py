@@ -13,8 +13,9 @@ are comments, blank lines are ignored, encoding is UTF-8, and a line ends
 at LF or CRLF only.  Written floats use ``repr`` so a read-back
 reproduces them bit-exactly, and a write that fails leaves no file.
 
-Every frequency curve, tabulated, computed or plotted, passes ``_validated_curve``;
-``ingest_asd`` also applies its rule row by row, to name the bad line.
+Every frequency curve, tabulated, computed or plotted, passes ``_validated_curve``.
+``ingest_asd`` reads a well-formed table in bulk; its row loop runs only to
+name the bad line of a table that fails.
 
 Independent noises add in power, so the total of a budget is the
 point-wise root-sum-square of its component ASDs.
@@ -23,6 +24,7 @@ point-wise root-sum-square of its component ASDs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,7 +117,8 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
 
     Raises AsdFileError naming the offending 1-based line for any parse or
     validation failure (bytes that are not UTF-8, bad header, malformed row,
-    non-increasing frequency, non-positive value).
+    non-increasing frequency, non-positive value).  A well-formed table is read
+    in bulk; the row loop below runs only when that fails, to word the error.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -123,6 +126,13 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AsdFileError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from None
+    label = label if label is not None else path.stem
+    columns = _bulk_columns(text)
+    if columns is not None:
+        try:
+            return TabulatedASD(columns[:, 0], columns[:, 1], label=label, source=str(path))
+        except ValueError:
+            pass  # a bad number, order or row count: the loop names its line
     header_seen = False
     rows: list[tuple[int, float, float]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops the CR of CRLF
@@ -157,11 +167,31 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
     if len(rows) < 2:
         raise AsdFileError(path, rows[-1][0] if rows else 1, "need at least 2 data rows")
     return TabulatedASD(
-        np.array([r[1] for r in rows]),
-        np.array([r[2] for r in rows]),
-        label=label if label is not None else path.stem,
-        source=str(path),
+        np.array([r[1] for r in rows]), np.array([r[2] for r in rows]), label=label, source=str(path)
     )
+
+
+def _bulk_columns(text: str):
+    """The rows of a table as one ``(n, 2)`` float array, or None where the grammar fails.
+
+    The grammar of ``ingest_asd``'s loop, one step at a time over all rows: the
+    header first, then rows that are ASCII and hold no ``_`` as read, with
+    exactly one comma each; ``float`` parses the same field strings.  Values
+    are not checked here, and a None says nothing about where the text fails.
+    """
+    kept = [raw for raw in text.split("\n") if raw.strip()[:1] not in ("", "#")]
+    body = "".join(kept[1:])  # as read: strip() also drops non-ASCII spaces, which the loop refuses
+    if not kept or kept[0].strip() != ASD_CSV_HEADER or not body.isascii() or "_" in body:
+        return None
+    rows = [raw.strip() for raw in kept[1:]]
+    fields = ",".join(rows).split(",")
+    # n commas in n rows, none of them without one: one comma per row
+    if len(fields) != 2 * len(rows) or not all("," in row for row in rows):
+        return None
+    try:
+        return np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, 2)
+    except ValueError:
+        return None
 
 
 def write_asd_csv(path, frequencies, asd, comments=()) -> None:
@@ -215,7 +245,10 @@ class NoiseBudget:
 
     ``total`` is derived, not passed: the point-wise root-sum-square of the
     components, accumulated in label-sorted order so that it is exactly
-    invariant under reordering them.  ``compose`` builds one from pairs.
+    invariant under reordering them.  Where the sum of squares overflows or
+    falls below the normal floats, that point is summed in units of its
+    largest component m instead, as m·sqrt(Σ(c/m)²), so a total that is a
+    finite float comes out as one.  ``compose`` builds one from pairs.
     """
 
     grid: np.ndarray
@@ -229,14 +262,27 @@ class NoiseBudget:
             self.grid, [(f"component {_quote(k)}", v) for k, v in self.components.items()]
         )
         comps = dict(zip(self.components, values))
-        power = np.zeros_like(grid)
+        columns = [comps[label] for label in sorted(comps)]
         with np.errstate(over="ignore"):  # an overflow fails the check of the total below
-            for label in sorted(comps):
-                power = power + comps[label] * comps[label]
-        _, (total,) = _validated_curve(grid, [("total", np.sqrt(power))])
+            power = _power_sum(columns)
+            total = np.sqrt(power)
+            if not (power.min() >= sys.float_info.min and power.max() < math.inf):
+                far = (power < sys.float_info.min) | (power == math.inf)
+                parts = [c[far] for c in columns]
+                largest = np.maximum.reduce(parts)
+                total[far] = largest * np.sqrt(_power_sum([c / largest for c in parts]))
+        _, (total,) = _validated_curve(grid, [("total", total)])
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "components", {k: _freeze(v) for k, v in comps.items()})
         object.__setattr__(self, "total", _freeze(total))
+
+
+def _power_sum(columns) -> np.ndarray:
+    """Point-wise sum of the squares of ``columns``, added in the order given."""
+    power = columns[0] * columns[0]
+    for c in columns[1:]:
+        power += c * c
+    return power
 
 
 def compose(grid, components) -> NoiseBudget:

@@ -58,12 +58,13 @@ def write_loglog_svg(path, curves, *, title=""):
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    # the pixel maps take log10 values, so a tick sits at its decade even where 10**d is 0 or inf
+    # The pixel maps take log10 values, so a tick sits at its decade even where 10**d is 0 or inf.
+    # log10 stays on math; numpy does only + - * /, which round the same in every SIMD class.
     def px(logs):
-        return [MARGIN_L + (v - x0) / (x1 - x0) * plot_w for v in logs]
+        return (MARGIN_L + (np.fromiter(logs, dtype=float) - x0) / (x1 - x0) * plot_w).tolist()
 
     def py(logs):
-        return [MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h for v in logs]
+        return (MARGIN_T + plot_h - (np.fromiter(logs, dtype=float) - y0) / (y1 - y0) * plot_h).tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -97,10 +98,10 @@ def write_loglog_svg(path, curves, *, title=""):
     # each curve's colour is its palette entry, on its polyline and on its legend line
     legend_x = MARGIN_L + plot_w - 230
     legend = []
-    column = [f"{x:.2f}" for x in px(map(log10, xs.tolist()))]
+    template = " ".join([f"{x:.2f},%.2f" for x in px(map(log10, xs.tolist()))])
     for i, ((label, _, _), y) in enumerate(zip(curves, ys)):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join([f"{x},{yi:.2f}" for x, yi in zip(column, py(map(log10, y.tolist())))])
+        points = template % tuple(py(map(log10, y.tolist())))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{points}"/>')
         ly = MARGIN_T + 14 + 18 * i
         legend += [

@@ -218,6 +218,35 @@ class TestCompose:
         assert np.all(budget.total >= biggest * (1 - 1e-12))
         assert np.all(budget.total <= biggest * math.sqrt(2.0) * (1 + 1e-12))
 
+    @pytest.mark.parametrize(
+        "value", [1e200, 1e-200, 1.7e308, 5e-324], ids=["1e200", "1e-200", "near-max", "least-subnormal"]
+    )
+    def test_a_lone_component_past_the_square_range_is_its_own_total(self, value):
+        # its square overflows to inf or underflows to 0; the root-sum-square is the value itself
+        values = np.full_like(self.GRID, value)
+        np.testing.assert_array_equal(compose(self.GRID, [("only", values)]).total, values)
+
+    def test_a_total_below_the_normal_floats_is_right_to_one_ulp(self):
+        # the squares 9e-324 and 1.6e-323 are subnormal and lose most of their bits
+        parts = [("a", np.full_like(self.GRID, 3e-162)), ("b", np.full_like(self.GRID, 4e-162))]
+        budget = compose(self.GRID, parts)
+        assert np.all(np.abs(budget.total - 5e-162) <= math.ulp(5e-162))
+
+    def test_scaled_points_keep_the_order_invariance_and_the_other_points(self):
+        rng = np.random.default_rng(9)
+        parts = [(label, 10.0 ** rng.uniform(-24, -22, self.GRID.size)) for label in "abc"]
+        wide = [(label, v.copy()) for label, v in parts]
+        wide[0][1][:5] = 1e200  # the sum of squares overflows at the first five points only
+        forward, backward = compose(self.GRID, wide), compose(self.GRID, wide[::-1])
+        np.testing.assert_array_equal(forward.total, backward.total)
+        np.testing.assert_array_equal(forward.total[:5], 1e200)
+        np.testing.assert_array_equal(forward.total[5:], compose(self.GRID, parts).total[5:])
+
+    def test_a_total_past_the_largest_float_is_a_range_error(self):
+        values = np.full_like(self.GRID, 1.5e308)
+        with pytest.raises(NumericalRangeError, match=r"^total is not a positive finite number at 10\.0 Hz$"):
+            compose(self.GRID, [("a", values), ("b", values)])
+
     def test_duplicate_labels_rejected(self):
         values = np.full_like(self.GRID, 1e-23)
         with pytest.raises(ValueError, match="unique"):

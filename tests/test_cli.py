@@ -2,6 +2,7 @@
 and byte-level determinism of emitted artifacts."""
 
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -411,15 +412,26 @@ class TestBudgetCommand:
         assert "Hz" in result.output
 
     def test_overflowing_total_exits_3(self, runner, configs_dir, tmp_path):
-        table = tmp_path / "huge.csv"
-        table.write_text("frequency_hz,asd_strain_per_sqrt_hz\n1.0,1e200\n100000.0,1e200\n")
+        # each component is a finite float; their root-sum-square, 2.1e308, is not
+        (tmp_path / "huge.csv").write_text("frequency_hz,asd_strain_per_sqrt_hz\n1.0,1.5e308\n100000.0,1.5e308\n")
         cfg = json.loads((configs_dir / "h1.json").read_text())
-        cfg["components"] = [{"label": "huge", "file": "huge.csv"}]
+        cfg["components"] = [{"label": "huge", "file": "huge.csv"}, {"label": "huge too", "file": "huge.csv"}]
         path = tmp_path / "h1.json"
         path.write_text(json.dumps(cfg))
         result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "huge")])
         assert result.exit_code == 3, result.output
         assert "total is not a positive finite number at 10.0 Hz" in result.output
+
+    def test_a_total_whose_squares_overflow_is_written(self, runner, configs_dir, tmp_path):
+        (tmp_path / "far.csv").write_text("frequency_hz,asd_strain_per_sqrt_hz\n1.0,1e200\n100000.0,1e200\n")
+        cfg = json.loads((configs_dir / "h1.json").read_text())
+        cfg["components"] = [{"label": "far", "file": "far.csv"}]
+        path = tmp_path / "h1.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["budget", str(path), "--out", str(tmp_path / "far"), "--svg"])
+        assert result.exit_code == 0, result.output
+        # the quantum noise, about 1e-24, adds nothing to it
+        assert set(ingest_asd(tmp_path / "far-total.csv").asd.tolist()) == {1e200}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1234,6 +1246,48 @@ def test_shipped_runs_write_the_pinned_bytes(runner, configs_dir, tmp_path, run)
     assert result.exit_code == 0, result.output
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == PINNED_SHA256[run]
+
+
+#: The kernel choice numpy makes on an x86 host without AVX-512; the variable acts per process.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+#: Writes the aligo plots of ``budget --svg`` and ``project`` under argv[2], after checking that
+#: numpy dispatches its AVX-512 kernels exactly when argv[1] is "avx512".
+_PLOTS_IN_ONE_CLASS = """
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+from sqznb.cli import main
+
+assert __cpu_features__["X86_V4"] is (sys.argv[1] == "avx512"), sys.argv[1]
+for args in (["budget", "configs/aligo.json", "--svg"], ["project", "configs/aligo.json"]):
+    main([*args, "--out", f"{sys.argv[2]}/{args[0]}"], standalone_mode=False)
+"""
+
+
+def _host_has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x, whose dispatch targets have other names
+        return False
+    return bool(__cpu_features__.get("AVX512F"))  # a hardware flag: the variable leaves it set
+
+
+@pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512, so numpy has one kernel class")
+def test_plots_do_not_depend_on_numpy_simd_class(tmp_path):
+    """The SVG pixels use numpy for + - * / only, which round alike in every kernel class."""
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for simd, extra in (("avx512", {}), ("libm", {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLOTS_IN_ONE_CLASS, simd, str(tmp_path / simd)],
+            capture_output=True, text=True, cwd=ROOT, env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    for command in ("budget", "project"):
+        plot = f"{command}.svg"
+        assert (tmp_path / "libm" / plot).read_bytes() == (tmp_path / "avx512" / plot).read_bytes()
 
 
 def test_cli_import_loads_neither_scipy_nor_threads():

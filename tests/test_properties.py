@@ -3,8 +3,8 @@ library, CLI and run-config paths to one domain rule per input, every
 record to the float that rule returns, the run config, ``budget`` and
 ``project`` to one band rule, every label to well-formed output files or
 none, the outputs of a run to distinct files, every component value a
-table can hold to well-formed files or none, and the run-config loader
-to its schema.
+table can hold to well-formed files or none, the run-config loader to
+its schema, and ``ingest_asd``'s bulk read to its row loop.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from sqznb import (
     ASD_CSV_HEADER,
+    AsdFileError,
     GridSpec,
     InterferometerConfig,
     LossChain,
@@ -51,7 +52,7 @@ from sqznb import (
     sql_asd,
 )
 from sqznb.cli import main
-from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS
+from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS, _quote
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -669,3 +670,139 @@ def test_one_pass_curve_check_matches_the_per_element_rule(data):
     assert _outcome(_validated_curve, frequencies, curves, min_points) == _outcome(
         _curve_check_before_one_pass, frequencies, curves, min_points
     )
+
+
+def _ingest_by_rows(path):
+    """``ingest_asd`` as its row loop alone reads a table: the oracle below."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AsdFileError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from None
+    header_seen = False
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != ASD_CSV_HEADER:
+                raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {_quote(line)}")
+            header_seen = True
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise AsdFileError(path, lineno, f"expected 2 comma-separated fields, got {len(fields)}")
+        try:
+            if "_" in raw or not raw.isascii():
+                raise ValueError(raw)
+            freq, value = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise AsdFileError(path, lineno, f"unparseable number in row {_quote(line)}") from None
+        if not (math.isfinite(freq) and freq > 0.0):
+            raise AsdFileError(path, lineno, f"frequency must be positive and finite, got {fields[0]}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise AsdFileError(path, lineno, f"ASD value must be positive and finite, got {fields[1]}")
+        if rows and freq <= rows[-1][1]:
+            raise AsdFileError(path, lineno, f"frequency {fields[0]} Hz does not increase past the previous row")
+        rows.append((lineno, freq, value))
+    if not header_seen:
+        raise AsdFileError(path, 1, f"missing header {ASD_CSV_HEADER!r}")
+    if len(rows) < 2:
+        raise AsdFileError(path, rows[-1][0] if rows else 1, "need at least 2 data rows")
+    frequencies, values = np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    return TabulatedASD(frequencies, values, label=path.stem, source=str(path))
+
+
+#: Fields the contract refuses, or that only a looser grammar would take.
+BAD_FIELDS = ["nan", "inf", "-inf", "infinity", "-1.0", "0", "-0.0", "1_0", "\uff11\uff10", "1e-22 # x", "", "abc",
+              "0x10", "1e999", "1e-400", " 5 5"]
+#: Lines ``ingest_asd`` skips, non-ASCII and control characters among them.
+SKIPPED_LINES = [
+    "", "  ", "\t", "\x0b", "\x1c", "\u3000", "\u00a0", "# x", "  # x", "# \u00e9", "#\u00a0\u00fc", "#,,,"
+]
+#: Whitespace around a row or a field: ASCII that ``str.strip`` drops, and non-ASCII that it drops too.
+PADS = ["", "", " ", "\t", "\x0c", "\x1f", "\u00a0", "\u2003"]
+
+
+@st.composite
+def asd_table_texts(draw):
+    """Table texts: well-formed in about two draws of five, otherwise with one to three defects."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 13]))
+    freqs = sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n, unique=True)))
+    values = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    spell = draw(st.sampled_from(["{!r}", "{!r}", "{:.3e}", "{:g}", "+{!r}", "{!r}0"]))  # 1e-300 -> 1e-3000
+    rows = [f"{spell.format(f)},{spell.format(v)}" for f, v in zip(freqs, values)]
+    header = ASD_CSV_HEADER
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(["field", "ragged", "swap", "pad-row", "pad-field", "header", "text"]))
+        if not rows:
+            kind = "header"
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        freq, comma, value = rows[i].partition(",") if rows else ("", "", "")
+        if kind == "field":
+            bad = draw(st.sampled_from(BAD_FIELDS))
+            rows[i] = f"{bad},{value}" if draw(st.booleans()) else f"{freq},{bad}"
+        elif kind == "ragged":  # one row a field too long, the next one a field short: pairs in all
+            after, _, rest = rows[i + 1].partition(",") if i + 1 < len(rows) else ("7.0", "", "")
+            rows[i] = f"{rows[i]},{after}"
+            rows[i + 1 : i + 2] = [rest] if i + 1 < len(rows) else []
+        elif kind == "swap" and len(rows) > 1:
+            rows[i], rows[i - 1] = rows[i - 1], rows[i]
+        elif kind == "pad-row":
+            rows[i] = draw(st.sampled_from(PADS)) + rows[i] + draw(st.sampled_from(PADS))
+        elif kind == "pad-field":
+            rows[i] = freq + draw(st.sampled_from(PADS)) + comma + value
+        elif kind == "header":
+            header = draw(st.sampled_from([
+                "", " " + ASD_CSV_HEADER, ASD_CSV_HEADER + " # x", "frequency_hz,asd", "10.0,1e-22",
+                ASD_CSV_HEADER.upper(), " " + ASD_CSV_HEADER + "\t",
+            ]))
+        else:
+            rows[i] = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+    lines = [header, *rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SKIPPED_LINES)))
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if draw(st.sampled_from([False] * 7 + [True])):  # a lone CR, which ends no line
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    return "".join(line + end for line, end in zip(lines, ends))[: None if draw(st.booleans()) else -1]
+
+
+def _ingest_outcome(read, path):
+    try:
+        table = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (table.frequencies, table.asd)], table.label, table.source
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+@settings(SETTINGS, max_examples=400)
+@given(text=asd_table_texts())
+@example(text=f"{ASD_CSV_HEADER}\n1,2,3\n4\n")  # four fields, which would pair up again
+@example(text=f"{ASD_CSV_HEADER}\n10.0,1_0\n20.0,2e-22\n")  # float() reads 1_0 as 10
+@example(text=f"{ASD_CSV_HEADER}\n10.0,\uff11\uff10\n20.0,2e-22\n")  # and fullwidth digits
+@example(text=f"{ASD_CSV_HEADER}\n10.0,nan\n20.0,2e-22\n")
+@example(text=f"{ASD_CSV_HEADER}\n10.0,1e-22 # x\n20.0,2e-22\n")
+@example(text=f"{ASD_CSV_HEADER}\n20.0,1e-22\n10.0,2e-22\n")
+@example(text=f"{ASD_CSV_HEADER}\r\n# caf\u00e9\r\n\r\n10.0 , 1e-22\r\n20.0,2e-22\r\n")
+@example(text=f"{ASD_CSV_HEADER}\n10.0,1e-22\u00a0\n20.0,2e-22\n")
+@example(text=f"\u00a0{ASD_CSV_HEADER}\u3000\n\x1c10.0,1e-22\x1f\n20.0,2e-22")
+def test_ingest_matches_its_row_loop(text, table_dir):
+    """The table's bits, or the error's type, message and line, equal the row loop's; and a
+    table the loop accepts is one the bulk pass reads."""
+    from sqznb.budget import _bulk_columns
+
+    path = table_dir / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _ingest_outcome(ingest_asd, path)
+    assert got == _ingest_outcome(_ingest_by_rows, path)
+    if isinstance(got[0], list):
+        columns = _bulk_columns(text)
+        assert columns is not None
+        assert [columns[:, 0].tobytes(), columns[:, 1].tobytes()] == [a[2] for a in got[0]]
