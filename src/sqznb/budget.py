@@ -335,11 +335,18 @@ def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandI
         raise ValueError("budgets are on different frequency grids")
     ratio = reference.total[mask] / squeezed.total[mask]
     return BandImprovement(
-        median_db=20.0 * math.log10(float(np.median(ratio))) + 0.0,
+        median_db=20.0 * math.log10(_median(ratio)) + 0.0,
         max_db=20.0 * math.log10(float(np.max(ratio))) + 0.0,
         band=(lo, hi),
         points=int(mask.sum()),
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free array, without the NaN check that imports ``numpy.ma``."""
+    s = np.sort(values)
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2.0)
 
 
 def equivalent_power_increase(improvement_db: float) -> float:

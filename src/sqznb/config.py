@@ -113,11 +113,15 @@ def _object(value, where: str, keys) -> dict:
     return value
 
 
-def _number(section: dict, key: str, where: str, default=None) -> float:
+def _required(section: dict, key: str, where: str, default=None):
     value = section.get(key, default)
     if value is None:
         raise ValueError(f"{where} is missing {key!r}")
-    return as_float(value, f"{where}.{key}")
+    return value
+
+
+def _number(section: dict, key: str, where: str, default=None) -> float:
+    return as_float(_required(section, key, where, default), f"{where}.{key}")
 
 
 def _parse_interferometer(section: dict) -> InterferometerConfig:
@@ -163,7 +167,7 @@ def _parse_grid(section: dict) -> GridSpec:
     return GridSpec(
         f_min=_number(section, "f_min_hz", "grid"),
         f_max=_number(section, "f_max_hz", "grid"),
-        points=section.get("points"),
+        points=_required(section, "points", "grid"),
         spacing=section.get("spacing", GridSpec.spacing),
     )
 

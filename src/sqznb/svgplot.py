@@ -30,6 +30,9 @@ PALETTE = (
 WIDTH, HEIGHT = 960, 620
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 
+#: The most ticks (grid line and label) an axis carries; a wider span ticks every k-th decade.
+MAX_TICKS = 12
+
 
 def write_loglog_svg(path, curves, *, title=""):
     """Write a log-log ASD-against-frequency plot; ``curves`` is a list of (label, x, y).
@@ -37,7 +40,8 @@ def write_loglog_svg(path, curves, *, title=""):
     A plot holds one grid: each ``x`` must be the first curve's, the same object
     or an equal array, else ValueError naming the curve.  The grid, the curves
     and the texts pass the package's checks first, so a bad input writes no
-    file.  The axes take any positive finite value, subnormals included.
+    file.  The axes take any positive finite value, subnormals included, and
+    each carries at most MAX_TICKS decade ticks.
     """
     if not curves:
         raise ValueError("need at least one curve")
@@ -74,7 +78,8 @@ def write_loglog_svg(path, curves, *, title=""):
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
 
-    for d, gx in zip(range(x0, x1 + 1), px(range(x0, x1 + 1))):
+    x_ticks, y_ticks = _ticks(x0, x1), _ticks(y0, y1)
+    for d, gx in zip(x_ticks, px(x_ticks)):
         if d != x0:
             parts.append(
                 f'<line x1="{gx:.2f}" y1="{MARGIN_T}" x2="{gx:.2f}" y2="{MARGIN_T + plot_h}" '
@@ -84,7 +89,7 @@ def write_loglog_svg(path, curves, *, title=""):
             f'<text x="{gx:.2f}" y="{MARGIN_T + plot_h + 20}" font-size="12" '
             f'text-anchor="middle" font-family="sans-serif">{_decade(d)}</text>'
         )
-    for d, gy in zip(range(y0, y1 + 1), py(range(y0, y1 + 1))):
+    for d, gy in zip(y_ticks, py(y_ticks)):
         if d != y0:
             parts.append(
                 f'<line x1="{MARGIN_L}" y1="{gy:.2f}" x2="{MARGIN_L + plot_w}" y2="{gy:.2f}" '
@@ -125,6 +130,11 @@ def write_loglog_svg(path, curves, *, title=""):
     )
     parts.append("</svg>")
     Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+
+
+def _ticks(d0: int, d1: int) -> range:
+    """Every k-th decade from ``d0`` to ``d1``, with k the least step that leaves at most MAX_TICKS."""
+    return range(d0, d1 + 1, -(-(d1 - d0) // (MAX_TICKS - 1)))
 
 
 def _decade(d: int) -> str:

@@ -450,7 +450,7 @@ class TestSvgGridReuse:
             )
             assert points == want
 
-    def test_extreme_values_give_a_plot_with_every_decade(self, tmp_path):
+    def test_extreme_values_give_a_plot_with_at_most_12_ticks_per_axis(self, tmp_path):
         import xml.etree.ElementTree as ET
         from decimal import Decimal
 
@@ -461,13 +461,32 @@ class TestSvgGridReuse:
         y = np.array([1.7e308, 5e-324, 1e-200, 2.2250738585072014e-308, 1.0])
         write_loglog_svg(tmp_path / "wide.svg", [("a", x, y)])
         texts = [el.text for el in ET.parse(tmp_path / "wide.svg").iter("{http://www.w3.org/2000/svg}text")]
-        decades = [Decimal(10) ** d for d in range(-324, 310)]
+        # both axes span decades -324..309: 633 decades, so every 58th decade carries a tick
+        decades = [Decimal(10) ** d for d in range(-324, 310, 58)]
+        assert len(decades) == 11
         assert [Decimal(t) for t in texts[: 2 * len(decades)]] == decades + decades
-        assert texts[0] == texts[len(decades)] == "1e-324" and texts[len(decades) - 1] == "1e+309"
+        assert texts[0] == texts[len(decades)] == "1e-324" and texts[len(decades) - 1] == "1e+256"
+        assert texts[2 * len(decades)] == "a"  # the legend follows the ticks
         (points,) = polylines(tmp_path / "wide.svg")
         for point in points.split():
             px, py = map(float, point.split(","))
             assert MARGIN_L <= px <= WIDTH - MARGIN_R and MARGIN_T <= py <= HEIGHT - MARGIN_B
+
+    @pytest.mark.parametrize(
+        "top, step, ticks", [(1, 1, 2), (11, 1, 12), (12, 2, 7), (22, 2, 12), (23, 3, 8)]
+    )
+    def test_an_axis_ticks_every_decade_up_to_12(self, tmp_path, top, step, ticks):
+        import xml.etree.ElementTree as ET
+
+        from sqznb.svgplot import write_loglog_svg
+
+        grid = np.array([1.0, 10.0 ** top])
+        write_loglog_svg(tmp_path / "span.svg", [("a", grid, grid)])
+        tree = ET.parse(tmp_path / "span.svg")
+        labels = [el.text for el in tree.iter("{http://www.w3.org/2000/svg}text")][: 2 * ticks]
+        assert labels == 2 * [f"{10.0 ** d:g}" for d in range(0, top + 1, step)]
+        lines = [el for el in tree.iter("{http://www.w3.org/2000/svg}line") if el.get("stroke") == "#dddddd"]
+        assert len(lines) == 2 * (ticks - 1)  # the axis start is the frame, not a grid line
 
 
 class TestImprovement:

@@ -5,7 +5,6 @@ import json
 import os
 import pathlib
 import re
-import shlex
 import subprocess
 import sys
 import warnings
@@ -28,6 +27,7 @@ from sqznb import (
     quantum_noise_curve,
 )
 from sqznb.cli import main
+from test_readme import README_COMMANDS, strict_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -42,15 +42,10 @@ def validate(schema_dir, name, payload):
     jsonschema.validate(payload, schema)
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def invoke_json(runner, args):
-    # strict JSON: NaN and Infinity are not numbers any consumer can read
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    return json.loads(result.output, parse_constant=_reject_constant)
+    return strict_json(result.output)
 
 
 def write_config(tmp_path, **overrides):
@@ -714,6 +709,10 @@ class TestConfigKeysAndTypes:
             lambda cfg: cfg["grid"].update(spacing=["log"]),
             "spacing must be 'log' or 'linear', got ['log']",
         ),
+        # every required grid key is named the same way when it is missing
+        "missing-f-min": (lambda cfg: cfg["grid"].pop("f_min_hz"), "grid is missing 'f_min_hz'"),
+        "missing-f-max": (lambda cfg: cfg["grid"].pop("f_max_hz"), "grid is missing 'f_max_hz'"),
+        "missing-points": (lambda cfg: cfg["grid"].pop("points"), "grid is missing 'points'"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1300,30 +1299,8 @@ def test_cli_import_loads_neither_scipy_nor_threads():
     assert proc.stdout.strip() == "[]"
 
 
-def _readme_commands() -> list[list[str]]:
-    """Arguments of each ``sqznb ...`` line in README's CLI block, continuations joined."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("sqznb ")]
-
-
-README_COMMANDS = _readme_commands()
-
-
-def test_readme_shows_every_subcommand():
-    assert {args[0] for args in README_COMMANDS} == set(main.commands)
-
-
-@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
-def test_readme_example_runs(runner, schema_dir, tmp_path, monkeypatch, args):
-    monkeypatch.chdir(ROOT)  # the README's config paths are relative to the repository root
-    args = list(args)
-    if "--out" in args:
-        at = args.index("--out") + 1
-        args[at] = str(tmp_path / args[at])
-    if args[0] in ("propagate", "fit", "uncertainty", "optimize"):
-        validate(schema_dir, f"{args[0]}.schema.json", invoke_json(runner, args))
-    else:
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
+@pytest.mark.parametrize("args", [a for a in README_COMMANDS if "--out" not in a], ids=" ".join)
+def test_readme_json_matches_its_schema(runner, schema_dir, monkeypatch, args):
+    """The README's commands that print JSON print what their schemas allow; test_readme.py runs them all."""
+    monkeypatch.chdir(ROOT)
+    validate(schema_dir, f"{args[0]}.schema.json", invoke_json(runner, args))

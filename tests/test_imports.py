@@ -1,7 +1,8 @@
 """Start-up cost and the lazy package namespace.
 
-The scalar commands (propagate, fit, optimize) run without numpy, and
-``sqznb.X`` resolves on first use to the object its submodule defines.
+The scalar commands (propagate, fit, optimize) run without numpy, no README
+command imports a package of the test extra, and ``sqznb.X`` resolves on
+first use to the object its submodule defines.
 """
 
 import importlib
@@ -15,9 +16,13 @@ import pytest
 
 import sqznb
 from sqznb import budget, estimate, interferometer, states
+from test_readme import README_COMMANDS, readme_args
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SUBMODULES = ("budget", "config", "estimate", "interferometer", "states")
+#: The test extra's packages, with pytest's internals: installed for tier-1, so an import of
+#: one from src/ works here and fails only where the package is installed without the extra.
+TEST_EXTRA = {"jsonschema", "hypothesis", "pytest", "_pytest"}
 
 
 def _env() -> dict:
@@ -63,6 +68,16 @@ def test_uncertainty_loads_numpy_but_not_the_budget_layers():
     modules = imported_modules(["uncertainty", "--mc-samples", "1000"])
     assert "numpy" in modules  # the check sees an import when there is one
     assert not modules & {"sqznb.budget", "sqznb.interferometer", "sqznb.config", "sqznb.svgplot"}
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_commands_import_no_test_package(tmp_path, args):
+    modules = imported_modules(readme_args(args, tmp_path))
+    assert "sqznb.cli" in modules
+    assert not {m for m in modules if m.split(".")[0] in TEST_EXTRA}
+    if args[0] in ("budget", "project"):
+        # np.median's NaN check would load numpy.ma, about 13 ms of a cold budget
+        assert "numpy" in modules and "numpy.ma" not in modules
 
 
 def test_import_sqznb_alone_leaves_numpy_out():

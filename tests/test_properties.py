@@ -1,10 +1,11 @@
-"""Property tests tying the closed-form inverses to the forward chain, the
-library, CLI and run-config paths to one domain rule per input, every
-record to the float that rule returns, the run config, ``budget`` and
-``project`` to one band rule, every label to well-formed output files or
-none, the outputs of a run to distinct files, every component value a
-table can hold to well-formed files or none, the run-config loader to
-its schema, and ``ingest_asd``'s bulk read to its row loop.
+"""Property tests tying the closed-form inverses to the forward chain, a
+quantum-only budget's gain to the detected squeezing, the library, CLI and
+run-config paths to one domain rule per input, every record to the float
+that rule returns, the run config, ``budget`` and ``project`` to one band
+rule, every label to well-formed output files or none, the outputs of a run
+to distinct files, every component value a table can hold to well-formed
+files or none, the run-config loader to its schema, and ``ingest_asd``'s
+bulk read to its row loop.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -39,9 +40,11 @@ from sqznb import (
     SqueezedState,
     SqueezerSetup,
     TabulatedASD,
+    compose,
     coupling_kappa,
     detected_db,
     fit_efficiency,
+    improvement_db,
     ingest_asd,
     load_run_config,
     mc_uncertainty,
@@ -53,6 +56,7 @@ from sqznb import (
 )
 from sqznb.cli import main
 from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS, _quote
+from test_readme import strict_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -112,6 +116,34 @@ def test_first_order_sigma_matches_central_difference(inject, eta, theta, sigmas
     # 1e-9 dB absorbs the differences' own rounding where every slope is ~0
     assert analytic == pytest.approx(central_difference_sigma(*inputs), rel=1e-6, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("config", ["h1.json", "aligo.json"])
+@settings(SETTINGS, max_examples=50)
+@given(inject=unit(0.0, 40.0), eta=unit(0.0, 1.0), theta=unit(0.0, 0.7))
+@example(inject=10.3, eta=0.44, theta=0.037)
+def test_a_quantum_only_budget_gains_the_detected_squeezing(configs_dir, config, inject, eta, theta):
+    """fd-optimal over none, with the quantum curve as the only component, is detected_db at every point.
+
+    This ties states (the degraded state), interferometer (the quantum ASD),
+    budget (compose and improvement_db) and the shipped configs' grids together.
+    """
+    cfg = load_run_config(configs_dir / config)
+    grid = cfg.grid.frequencies()
+    setup = dataclasses.replace(
+        cfg.squeezer, inject_db=inject, chain=LossChain.from_total(eta), phase_noise=PhaseNoise(theta),
+        angle_policy="fd-optimal",
+    )
+    budgets = {
+        policy: compose(grid, [("quantum", quantum_noise_asd(
+            cfg.interferometer, dataclasses.replace(setup, angle_policy=policy), grid))])
+        for policy in ("none", "fd-optimal")
+    }
+    want = detected_db(setup.degraded_state())
+    gain = 20.0 * np.log10(budgets["none"].total / budgets["fd-optimal"].total)
+    assert np.abs(gain - want).max() <= 1e-12
+    band = improvement_db(budgets["none"], budgets["fd-optimal"], cfg.band)
+    assert abs(band.median_db - want) <= 1e-12 and abs(band.max_db - want) <= 1e-12
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 H1_CONFIG = json.loads((ROOT / "configs" / "h1.json").read_text())
@@ -326,10 +358,6 @@ def label_text():
     )
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def assert_csv_round_trips(path, grid):
     table = ingest_asd(path)
     assert table.frequencies.tolist() == grid.tolist()
@@ -377,7 +405,7 @@ def test_every_label_gives_well_formed_files_or_none(run_label, component_label,
             assert_csv_round_trips(csv, grid)
         ET.parse(out / "run.svg")
         if command[0] == "budget":
-            summary = json.loads((out / "run-summary.json").read_text(), parse_constant=_reject_constant)
+            summary = strict_json((out / "run-summary.json").read_text())
             schema = json.loads((ROOT / "docs" / "schema" / "budget-summary.schema.json").read_text())
             jsonschema.validate(summary, schema)
             assert summary["label"] == run_label
@@ -479,7 +507,7 @@ def test_every_table_value_gives_well_formed_files_or_none(values, label_dir):
             assert_csv_round_trips(csv, SMALL_GRID)
         ET.parse(out / "run.svg")
         if command[0] == "budget":
-            json.loads((out / "run-summary.json").read_text(), parse_constant=_reject_constant)
+            strict_json((out / "run-summary.json").read_text())
 
 
 def schema_nodes(node, path=()):
