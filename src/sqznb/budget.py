@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,8 +121,8 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
 
     Raises AsdFileError naming the offending 1-based line for any parse or
     validation failure (bytes that are not UTF-8, bad header, malformed row,
-    non-increasing frequency, non-positive value).  A well-formed table is read
-    in bulk; the row loop below runs only when that fails, to word the error.
+    non-increasing frequency, non-positive value).  The rows are read in
+    bulk; only when that fails does a loop walk them to name the first bad line.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -126,29 +130,33 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AsdFileError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from None
-    label = label if label is not None else path.stem
-    columns = _bulk_columns(text)
-    if columns is not None:
-        try:
-            return TabulatedASD(columns[:, 0], columns[:, 1], label=label, source=str(path))
-        except ValueError:
-            pass  # a bad number, order or row count: the loop names its line
-    header_seen = False
-    rows: list[tuple[int, float, float]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):  # strip() drops the CR of CRLF
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != ASD_CSV_HEADER:
-                raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {_quote(line)}")
-            header_seen = True
-            continue
+    lines = text.split("\n")  # strip() drops the CR of CRLF
+    keep = [raw.strip()[:1] not in ("", "#") for raw in lines]  # the header, then the data rows
+    if True not in keep:
+        raise AsdFileError(path, 1, f"missing header {ASD_CSV_HEADER!r}")
+    numbered = compress(enumerate(lines, start=1), keep)  # (1-based line number, line as read)
+    lineno, raw = next(numbered)
+    header = raw.strip()
+    if header != ASD_CSV_HEADER:
+        raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {_quote(header)}")
+    kept = list(compress(lines[lineno:], keep[lineno:]))
+    rows = [raw.strip() for raw in kept]
+    body = "".join(kept)  # as read: strip() also drops non-ASCII spaces, which the grammar refuses
+    if body.isascii() and "_" not in body:  # float() takes 1_0 and non-ASCII digits
+        fields = ",".join(rows).split(",")
+        # n commas in n rows, none of them without one: one comma per row
+        if len(fields) == 2 * len(rows) and all("," in row for row in rows):
+            with suppress(ValueError):  # a bad number, order or row count: the loop names its line
+                columns = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, 2)
+                label = label if label is not None else path.stem
+                return TabulatedASD(columns[:, 0], columns[:, 1], label=label, source=str(path))
+    previous = 0.0  # every frequency is positive, so the first row passes the order check
+    for (lineno, raw), line in zip(numbered, rows):  # the rows after the header, as kept above
         fields = line.split(",")
         if len(fields) != 2:
             raise AsdFileError(path, lineno, f"expected 2 comma-separated fields, got {len(fields)}")
         try:
-            if "_" in raw or not raw.isascii():  # float() takes 1_0 and non-ASCII digits
+            if "_" in raw or not raw.isascii():
                 raise ValueError(raw)
             freq, value = float(fields[0]), float(fields[1])
         except ValueError:
@@ -157,41 +165,13 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
             raise AsdFileError(path, lineno, f"frequency must be positive and finite, got {fields[0]}")
         if not (math.isfinite(value) and value > 0.0):
             raise AsdFileError(path, lineno, f"ASD value must be positive and finite, got {fields[1]}")
-        if rows and freq <= rows[-1][1]:
+        if freq <= previous:
             raise AsdFileError(
                 path, lineno, f"frequency {fields[0]} Hz does not increase past the previous row"
             )
-        rows.append((lineno, freq, value))
-    if not header_seen:
-        raise AsdFileError(path, 1, f"missing header {ASD_CSV_HEADER!r}")
-    if len(rows) < 2:
-        raise AsdFileError(path, rows[-1][0] if rows else 1, "need at least 2 data rows")
-    return TabulatedASD(
-        np.array([r[1] for r in rows]), np.array([r[2] for r in rows]), label=label, source=str(path)
-    )
-
-
-def _bulk_columns(text: str):
-    """The rows of a table as one ``(n, 2)`` float array, or None where the grammar fails.
-
-    The grammar of ``ingest_asd``'s loop, one step at a time over all rows: the
-    header first, then rows that are ASCII and hold no ``_`` as read, with
-    exactly one comma each; ``float`` parses the same field strings.  Values
-    are not checked here, and a None says nothing about where the text fails.
-    """
-    kept = [raw for raw in text.split("\n") if raw.strip()[:1] not in ("", "#")]
-    body = "".join(kept[1:])  # as read: strip() also drops non-ASCII spaces, which the loop refuses
-    if not kept or kept[0].strip() != ASD_CSV_HEADER or not body.isascii() or "_" in body:
-        return None
-    rows = [raw.strip() for raw in kept[1:]]
-    fields = ",".join(rows).split(",")
-    # n commas in n rows, none of them without one: one comma per row
-    if len(fields) != 2 * len(rows) or not all("," in row for row in rows):
-        return None
-    try:
-        return np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(-1, 2)
-    except ValueError:
-        return None
+        previous = freq
+    # every row is well-formed, so the bulk read failed on the row count
+    raise AsdFileError(path, lineno if kept else 1, "need at least 2 data rows")
 
 
 def write_asd_csv(path, frequencies, asd, comments=()) -> None:
@@ -248,11 +228,12 @@ class NoiseBudget:
     invariant under reordering them.  Where the sum of squares overflows or
     falls below the normal floats, that point is summed in units of its
     largest component m instead, as m·sqrt(Σ(c/m)²), so a total that is a
-    finite float comes out as one.  ``compose`` builds one from pairs.
+    finite float comes out as one.  The components are read-only, so none
+    can change under the total.  ``compose`` builds one from pairs.
     """
 
     grid: np.ndarray
-    components: dict[str, np.ndarray]
+    components: Mapping[str, np.ndarray]
     total: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -261,7 +242,7 @@ class NoiseBudget:
         grid, values = _validated_curve(
             self.grid, [(f"component {_quote(k)}", v) for k, v in self.components.items()]
         )
-        comps = dict(zip(self.components, values))
+        comps = {label: _freeze(v) for label, v in zip(self.components, values)}
         columns = [comps[label] for label in sorted(comps)]
         with np.errstate(over="ignore"):  # an overflow fails the check of the total below
             power = _power_sum(columns)
@@ -273,7 +254,7 @@ class NoiseBudget:
                 total[far] = largest * np.sqrt(_power_sum([c / largest for c in parts]))
         _, (total,) = _validated_curve(grid, [("total", total)])
         object.__setattr__(self, "grid", _freeze(grid))
-        object.__setattr__(self, "components", {k: _freeze(v) for k, v in comps.items()})
+        object.__setattr__(self, "components", MappingProxyType(comps))
         object.__setattr__(self, "total", _freeze(total))
 
 
@@ -307,11 +288,15 @@ class BandImprovement:
 def _band(band, grid, name: str):
     """The one rule for a band on a grid: return ``(low, high, mask of the points inside)``.
 
+    ``band`` must be a list, tuple or numpy array of two numbers, and
     ``band[0]`` < ``band[1]`` must be finite, inside ``[grid[0], grid[-1]]``
     and hold at least one grid point, else ValueError naming ``name``.
     """
-    lo = as_float(band[0], f"{name}[0]")
-    hi = as_float(band[1], f"{name}[1]", gt=lo)
+    pair = band.tolist() if isinstance(band, np.ndarray) else band
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"{name} must be a [low, high] pair of numbers, got {_quote(band)}")
+    lo = as_float(pair[0], f"{name}[0]")
+    hi = as_float(pair[1], f"{name}[1]", gt=lo)
     if lo < grid[0] or hi > grid[-1]:
         raise ValueError(
             f"{name} [{lo}, {hi}] Hz lies outside the grid span [{grid[0]}, {grid[-1]}] Hz"

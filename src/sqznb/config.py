@@ -207,10 +207,7 @@ def load_run_config(path) -> RunConfig:
             raise ValueError(f"components[{i}]: file not found: {file_path}")
         components.append((label, str(file_path)))
 
-    band_raw = raw.get("band_hz", list(DEFAULT_BAND))
-    if not isinstance(band_raw, list) or len(band_raw) != 2:
-        raise ValueError(f"band_hz must be a [low, high] pair of numbers, got {_quote(band_raw)}")
-    low, high, _ = _band(band_raw, grid.frequencies(), "band_hz")
+    low, high, _ = _band(raw.get("band_hz", DEFAULT_BAND), grid.frequencies(), "band_hz")
 
     return RunConfig(
         label=_label(raw.get("label", interferometer.label), "label"),

@@ -267,6 +267,16 @@ class TestCompose:
         np.testing.assert_array_equal(direct.total, compose(self.GRID, parts).total)
         assert list(direct.components) == ["c", "a", "b"]
 
+    def test_components_cannot_change_under_the_total(self):
+        ones = np.ones_like(self.GRID)
+        budget = compose(self.GRID, [("a", ones), ("b", ones)])
+        with pytest.raises(TypeError):
+            budget.components["c"] = 100.0 * ones
+        with pytest.raises(TypeError):
+            del budget.components["a"]
+        assert list(budget.components) == ["a", "b"]
+        np.testing.assert_array_equal(budget.total, math.sqrt(2.0) * ones)
+
 
 def test_svg_rejects_a_curve_whose_values_do_not_match_its_frequencies(tmp_path):
     from sqznb.svgplot import write_loglog_svg
@@ -553,6 +563,16 @@ class TestImprovement:
         ref, sqz = self.budget_pair(1.0)
         with pytest.raises(ValueError, match=r"band\[[01]\] must be a number"):
             improvement_db(ref, sqz, band)
+
+    @pytest.mark.parametrize("band", [(10.0, 30.0, "junk"), (10.0,), 10.0, "ab", {"a": 10.0, "b": 30.0}])
+    def test_band_must_be_a_pair(self, band):
+        ref, sqz = self.budget_pair(1.0)
+        with pytest.raises(ValueError, match=r"^band must be a \[low, high\] pair of numbers, got "):
+            improvement_db(ref, sqz, band)
+
+    def test_band_may_be_an_array_pair(self):
+        ref, sqz = self.budget_pair(1.0)
+        assert improvement_db(ref, sqz, np.array([100.0, 1000.0])) == improvement_db(ref, sqz, (100.0, 1000.0))
 
 
 class TestInterModuleConsistency:

@@ -287,6 +287,29 @@ class TestUncertaintyCommand:
         with pytest.raises(jsonschema.ValidationError, match="785.398"):
             validate(schema_dir, "uncertainty.schema.json", payload)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("seed", -1),
+            ("inject_db", -0.1),
+            ("inject_db", 3000.5),
+            ("efficiency", -0.01),
+            ("efficiency", 1.01),
+            ("phase_noise_mrad", -0.1),
+            ("phase_noise_mrad", 785.3981633974482),
+        ],
+    )
+    def test_schema_refuses_what_the_command_refuses(self, runner, schema_dir, field, bad):
+        # each bad value is one the command exits 2 for, as --seed -1 or --eta 1.01
+        payload = invoke_json(runner, ["uncertainty", "--mc-samples", "1000"])
+        validate(schema_dir, "uncertainty.schema.json", payload)
+        if field == "seed":
+            payload["seed"] = bad
+        else:
+            payload["inputs"][field]["value"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            validate(schema_dir, "uncertainty.schema.json", payload)
+
 
 class TestOptimizeCommand:
     def test_lossless_35_mrad(self, runner, schema_dir):

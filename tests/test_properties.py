@@ -4,8 +4,8 @@ run-config paths to one domain rule per input, every record to the float
 that rule returns, the run config, ``budget`` and ``project`` to one band
 rule, every label to well-formed output files or none, the outputs of a run
 to distinct files, every component value a table can hold to well-formed
-files or none, the run-config loader to its schema, and ``ingest_asd``'s
-bulk read to its row loop.
+files or none, the run-config loader to its schema, and ``ingest_asd`` to
+a row-by-row reader of the same contract.
 
 Examples are derandomized so every run checks the same inputs.
 """
@@ -821,16 +821,11 @@ def table_dir(tmp_path_factory):
 @example(text=f"{ASD_CSV_HEADER}\r\n# caf\u00e9\r\n\r\n10.0 , 1e-22\r\n20.0,2e-22\r\n")
 @example(text=f"{ASD_CSV_HEADER}\n10.0,1e-22\u00a0\n20.0,2e-22\n")
 @example(text=f"\u00a0{ASD_CSV_HEADER}\u3000\n\x1c10.0,1e-22\x1f\n20.0,2e-22")
+@example(text=f"{ASD_CSV_HEADER}\n-20.0,1e-22\n1,2,3\n")  # the first bad row is named, whatever its fault
+@example(text=f"\n# x\n{ASD_CSV_HEADER}\n\n")  # a header and no rows: line 1
+@example(text=f"{ASD_CSV_HEADER}\n# x\n10.0,1e-22\n")  # one row: its line
 def test_ingest_matches_its_row_loop(text, table_dir):
-    """The table's bits, or the error's type, message and line, equal the row loop's; and a
-    table the loop accepts is one the bulk pass reads."""
-    from sqznb.budget import _bulk_columns
-
+    """The table's bits, or the error's type, message and line, equal the row loop's."""
     path = table_dir / "table.csv"
     path.write_bytes(text.encode("utf-8"))
-    got = _ingest_outcome(ingest_asd, path)
-    assert got == _ingest_outcome(_ingest_by_rows, path)
-    if isinstance(got[0], list):
-        columns = _bulk_columns(text)
-        assert columns is not None
-        assert [columns[:, 0].tobytes(), columns[:, 1].tobytes()] == [a[2] for a in got[0]]
+    assert _ingest_outcome(ingest_asd, path) == _ingest_outcome(_ingest_by_rows, path)
