@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 from . import _PROVIDERS
 from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
-from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix, readout_db
+from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix
 from .states import _phase_noise, variances_from_db
 
 __all__ = list(_PROVIDERS["estimate"])
 
 #: Monte Carlo draws happen in fixed blocks of this many samples, each block
 #: from its own counter-based substream, so on one host the results depend
-#: only on (samples, seed) and the working memory beyond the result is one
-#: block.  Across numpy's SIMD kernel classes, log10 and ** in the kernel can
-#: differ in the last bit.
+#: only on (samples, seed).  Beyond the 8-byte-per-sample result, the loop
+#: holds one block of draws and two work rows of this length, and the
+#: reduction another 8 bytes per sample.  Across numpy's SIMD kernel classes,
+#: log10 and ** in the kernel can differ in the last bit.
 MC_BLOCK = 65536
 
 _THETA_MAX = math.nextafter(MAX_PHASE_RMS, 0.0)
@@ -123,14 +124,36 @@ class McUncertaintyResult:
     seed: int
 
 
-def _clip_counted(m: MeasurementWithUncertainty, z, low, high, counts, name):
-    """Draws ``m.value + m.sigma * z`` clipped to [low, high]; adds the clipped count."""
+def _detected_db_into(inject, eta, theta, a, b, out):
+    """``readout_db`` of the chain at each draw, written to ``out``; consumes its five rows.
+
+    The chain of the ``states`` helpers (variances_from_db, loss_map,
+    jitter_weight, mix, readout_db) with each operation and operand kept, so
+    each value has their bits: ``-s/10`` is ``-(s/10)``, ``x**2`` is
+    ``np.square`` and a product's operands commute.  The draw rows ``inject``,
+    ``eta`` and ``theta`` and the work rows ``a`` and ``b`` hold the
+    intermediates, so no temporary is allocated.
+    """
     import numpy as np
 
-    raw = m.value + m.sigma * z
-    inside = np.clip(raw, low, high)
-    counts[name] += int(np.count_nonzero(raw != inside))
-    return inside
+    np.divide(inject, 10.0, out=inject)
+    np.power(10.0, inject, out=a)  # v_plus
+    np.negative(inject, out=inject)
+    np.power(10.0, inject, out=inject)  # v_minus
+    np.subtract(1.0, eta, out=b)
+    np.multiply(eta, inject, out=inject)
+    np.add(inject, b, out=inject)  # loss_map(v_minus, eta)
+    np.multiply(eta, a, out=a)
+    np.add(a, b, out=a)  # loss_map(v_plus, eta)
+    np.sin(theta, out=theta)
+    np.square(theta, out=theta)  # s2
+    np.subtract(1.0, theta, out=b)
+    np.multiply(inject, b, out=inject)
+    np.multiply(a, theta, out=a)
+    np.add(inject, a, out=inject)  # mix
+    np.log10(inject, out=out)
+    np.multiply(out, -10.0, out=out)
+    np.add(out, 0.0, out=out)
 
 
 def _first_order_sigma(
@@ -175,8 +198,9 @@ def mc_uncertainty(
     width of its input's domain (MAX_INJECT_DB dB, 1, MAX_PHASE_RMS rad).
     The draws come in blocks of ``MC_BLOCK``: block ``b`` is drawn from
     ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
-    2**128), so results are reproducible for a fixed (samples, seed), and
-    memory is the 8-byte-per-sample result plus one block.  ``samples`` must
+    2**128), so results are reproducible for a fixed (samples, seed).  Memory
+    peaks in the reduction at 16 bytes per sample (the result and np.std's
+    deviations) plus one block of draws and two work rows.  ``samples`` must
     be a whole number >= 1000 and ``seed`` one >= 0; a result buffer that
     cannot be allocated raises ValueError naming its size.
     """
@@ -197,17 +221,24 @@ def mc_uncertainty(
             f"samples = {samples} needs a {8 * samples / 2**30:.3g} GiB result buffer, "
             "which could not be allocated"
         ) from exc
-    clamped = {"inject_db": 0, "efficiency": 0, "phase_rms": 0}
+    inputs = (
+        ("inject_db", inject_db, MAX_INJECT_DB),
+        ("efficiency", efficiency, 1.0),
+        ("phase_rms", phase_rms, _THETA_MAX),
+    )
+    clamped = {name: 0 for name, _, _ in inputs}
+    philox = np.random.Philox(seed)
+    work = np.empty((2, min(MC_BLOCK, samples)))
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
         stop = min(start + MC_BLOCK, samples)
-        gen = np.random.Generator(np.random.Philox(seed).jumped(block))
-        z = gen.standard_normal((3, stop - start))
-        inj = _clip_counted(inject_db, z[0], 0.0, MAX_INJECT_DB, clamped, "inject_db")
-        eff = _clip_counted(efficiency, z[1], 0.0, 1.0, clamped, "efficiency")
-        theta = _clip_counted(phase_rms, z[2], 0.0, _THETA_MAX, clamped, "phase_rms")
-        v_plus, v_minus = variances_from_db(inj)
-        s2 = jitter_weight(theta)
-        detected[start:stop] = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
+        z = np.random.Generator(philox.jumped(block)).standard_normal((3, stop - start))
+        for row, (name, m, high) in zip(z, inputs):
+            row *= m.sigma
+            row += m.value
+            if not (row.min() >= 0.0 and row.max() <= high):
+                clamped[name] += int(np.count_nonzero((row < 0.0) | (row > high)))
+                np.clip(row, 0.0, high, out=row)
+        _detected_db_into(*z, *work[:, : stop - start], out=detected[start:stop])
     return McUncertaintyResult(
         mean_db=float(np.mean(detected)),
         sigma_db=float(np.std(detected, ddof=1)),

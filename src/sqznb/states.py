@@ -109,7 +109,10 @@ def as_whole_number(value, name: str, *, ge: int = 0) -> int:
 
 # The forward arithmetic, written once, on floats or numpy arrays and without
 # validation.  Floats go through math and arrays through numpy, whose log10 and
-# sin can differ from libm's in the last bit, so each keeps its own bits.
+# sin can differ from libm's in the last bit, so each keeps its own bits.  The
+# Monte Carlo runs the same operations in place (estimate._detected_db_into);
+# TestMcKernelAgainstHelperChain in tests/test_estimate.py holds it to these
+# helpers bit for bit.
 
 
 def _lib(x):

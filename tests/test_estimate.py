@@ -1,6 +1,11 @@
 """Efficiency fits, Monte Carlo uncertainty, and optimum injection search."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +23,11 @@ from sqznb import (
     optimal_inject_db,
     propagate,
 )
-from sqznb.estimate import _THETA_MAX
-from sqznb.states import MAX_INJECT_DB
+from sqznb.estimate import _THETA_MAX, MC_BLOCK
+from sqznb.states import MAX_INJECT_DB, jitter_weight, loss_map, mix, readout_db, variances_from_db
+from test_cli import NO_AVX512, _host_has_avx512f
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 H1_INJECT = MeasurementWithUncertainty(10.3, 0.2)
 H1_EFFICIENCY = MeasurementWithUncertainty(0.44, 0.02)
@@ -242,6 +250,112 @@ class TestMcUncertainty:
             mc_uncertainty(
                 H1_INJECT, MeasurementWithUncertainty(1.5, 0.0), H1_PHASE, samples=2000
             )
+
+
+def helper_chain_mc(inject_db, efficiency, phase_rms, samples, seed):
+    """``mc_uncertainty``'s block loop written with the ``states`` helpers, one fresh array per step.
+
+    The oracle of the in-place kernel: the same Philox blocks, each input
+    clipped to its domain and counted where ``raw != clip(raw)``, and the same
+    reduction.  Returns the mean, the standard deviation and the clamp counts
+    of each block as ``(inject_db, efficiency, phase_rms)``.
+    """
+    detected = np.empty(samples)
+    block_counts = []
+    for block, start in enumerate(range(0, samples, MC_BLOCK)):
+        stop = min(start + MC_BLOCK, samples)
+        z = np.random.Generator(np.random.Philox(seed).jumped(block)).standard_normal((3, stop - start))
+        drawn, counts = [], []
+        for m, row, high in zip((inject_db, efficiency, phase_rms), z, (MAX_INJECT_DB, 1.0, _THETA_MAX)):
+            raw = m.value + m.sigma * row
+            drawn.append(np.clip(raw, 0.0, high))
+            counts.append(int(np.count_nonzero(raw != drawn[-1])))
+        inj, eff, theta = drawn
+        v_plus, v_minus = variances_from_db(inj)
+        s2 = jitter_weight(theta)
+        detected[start:stop] = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
+        block_counts.append(tuple(counts))
+    return float(np.mean(detected)), float(np.std(detected, ddof=1)), block_counts
+
+
+#: ``((value, sigma) of inject_db, efficiency and phase_rms), seed`` of each oracle comparison.
+ORACLE_INPUTS = {
+    # about one clamp per block and input: seed 3 clamps each input in some of
+    # the four blocks of 3 * MC_BLOCK + 7 samples and not in others
+    "rare-clamps": (((0.01, 0.0024), (0.9995, 1.2e-4), (0.784, 3.35e-4)), 3),
+    # injection and jitter clamp in every full block, efficiency in none
+    "near-edges": (((0.01, 0.005), (0.9995, 1e-4), (0.784, 0.002)), 0),
+    # the clamp-everywhere inputs of test_stream_layout_is_pinned
+    "wide": (((0.5, 0.4), (0.95, 0.1), (0.037, 0.02)), 9),
+    # each sigma under an ulp of its value: most draws round onto the upper
+    # edge exactly, and the rest to one ulp either side of it
+    "on-and-beyond-edges": (((MAX_INJECT_DB, 1e-13), (1.0, 1e-16), (_THETA_MAX, 1e-16)), 4),
+    # every draw on a domain edge, none beyond it
+    "fixed-low-edges": (((0.0, 0.0), (1.0, 0.0), (_THETA_MAX, 0.0)), 1),
+    "fixed-high-edges": (((MAX_INJECT_DB, 0.0), (0.0, 0.0), (0.0, 0.0)), 2),
+}
+ORACLE_SAMPLES = (1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7)
+
+
+def oracle_inputs(case):
+    return [MeasurementWithUncertainty(*m) for m in ORACLE_INPUTS[case][0]]
+
+
+def assert_mc_matches_helper_chain(case, samples):
+    inputs, seed = oracle_inputs(case), ORACLE_INPUTS[case][1]
+    mean, sigma, block_counts = helper_chain_mc(*inputs, samples, seed)
+    result = mc_uncertainty(*inputs, samples=samples, seed=seed)
+    assert (result.mean_db.hex(), result.sigma_db.hex()) == (mean.hex(), sigma.hex()), (case, samples)
+    clamped = tuple(result.clamped[k] for k in ("inject_db", "efficiency", "phase_rms"))
+    assert clamped == tuple(map(sum, zip(*block_counts))), (case, samples)
+
+
+class TestMcKernelAgainstHelperChain:
+    """The in-place block kernel gives the bits and counts of the states helpers."""
+
+    @pytest.mark.parametrize("samples", ORACLE_SAMPLES)
+    @pytest.mark.parametrize("case", ORACLE_INPUTS)
+    def test_same_bits_and_counts(self, case, samples):
+        assert_mc_matches_helper_chain(case, samples)
+
+    def test_rare_clamps_differ_between_blocks(self):
+        _, _, block_counts = helper_chain_mc(*oracle_inputs("rare-clamps"), 3 * MC_BLOCK + 7, 3)
+        for per_block in zip(*block_counts):
+            assert 0 in per_block and max(per_block) > 0, block_counts
+
+    @pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512: numpy has one kernel class")
+    def test_same_bits_without_avx512(self):
+        paths = [str(ROOT / "src"), str(ROOT / "tests"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+        proc = subprocess.run([sys.executable, "-c", _ORACLE_WITHOUT_AVX512], capture_output=True, text=True,
+                              cwd=ROOT, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["checked", str(len(ORACLE_INPUTS) * len(ORACLE_SAMPLES))]
+
+    def test_peak_memory_is_16_bytes_a_sample_plus_a_block(self):
+        # the reduction holds the result and np.std's copy of the deviations;
+        # the loop holds one block of draws and the two work rows
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * samples + 8 * (3 + 2) * MC_BLOCK + 4 * 2**20
+
+
+#: Runs every oracle comparison in numpy's kernel class without AVX-512 and prints how many it checked.
+_ORACLE_WITHOUT_AVX512 = """
+from numpy._core._multiarray_umath import __cpu_features__
+import test_estimate as t
+
+assert not __cpu_features__["X86_V4"]
+cases = [(case, samples) for case in t.ORACLE_INPUTS for samples in t.ORACLE_SAMPLES]
+for case, samples in cases:
+    t.assert_mc_matches_helper_chain(case, samples)
+print("checked", len(cases))
+"""
 
 
 def clipped_normal_nodes(m, low, high, nodes):
