@@ -12,17 +12,16 @@ from dataclasses import dataclass
 
 from . import _PROVIDERS
 from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
-from .states import as_inject_db, as_whole_number, jitter_weight, loss_map, mix
-from .states import _phase_noise, variances_from_db
+from .states import _phase_noise, as_inject_db, as_whole_number, jitter_weight, mix
 
 __all__ = list(_PROVIDERS["estimate"])
 
 #: Monte Carlo draws happen in fixed blocks of this many samples, each block
 #: from its own counter-based substream, so on one host the results depend
 #: only on (samples, seed).  Beyond the 8-byte-per-sample result, the loop
-#: holds one block of draws and two work rows of this length, and the
-#: reduction another 8 bytes per sample.  Across numpy's SIMD kernel classes,
-#: log10 and ** in the kernel can differ in the last bit.
+#: holds one block of draws, three rows of this length, and the reduction
+#: another 8 bytes per sample.  Across numpy's SIMD kernel classes, log10 and
+#: ** in the kernel can differ in the last bit.
 MC_BLOCK = 65536
 
 _THETA_MAX = math.nextafter(MAX_PHASE_RMS, 0.0)
@@ -124,33 +123,33 @@ class McUncertaintyResult:
     seed: int
 
 
-def _detected_db_into(inject, eta, theta, a, b, out):
-    """``readout_db`` of the chain at each draw, written to ``out``; consumes its five rows.
+def _detected_db_into(inject, eta, theta, out):
+    """``readout_db`` of the chain at each draw, written to ``out``; consumes the three draw rows.
 
     The chain of the ``states`` helpers (variances_from_db, loss_map,
     jitter_weight, mix, readout_db) with each operation and operand kept, so
     each value has their bits: ``-s/10`` is ``-(s/10)``, ``x**2`` is
-    ``np.square`` and a product's operands commute.  The draw rows ``inject``,
-    ``eta`` and ``theta`` and the work rows ``a`` and ``b`` hold the
-    intermediates, so no temporary is allocated.
+    ``np.square`` and a product's operands commute.  The draw rows and
+    ``out`` hold every intermediate (``out`` the v_plus branch, the spent
+    ``eta`` row ``1 - eta`` and then ``1 - s2``), so nothing is allocated.
     """
     import numpy as np
 
     np.divide(inject, 10.0, out=inject)
-    np.power(10.0, inject, out=a)  # v_plus
+    np.power(10.0, inject, out=out)  # v_plus
     np.negative(inject, out=inject)
     np.power(10.0, inject, out=inject)  # v_minus
-    np.subtract(1.0, eta, out=b)
-    np.multiply(eta, inject, out=inject)
-    np.add(inject, b, out=inject)  # loss_map(v_minus, eta)
-    np.multiply(eta, a, out=a)
-    np.add(a, b, out=a)  # loss_map(v_plus, eta)
     np.sin(theta, out=theta)
     np.square(theta, out=theta)  # s2
-    np.subtract(1.0, theta, out=b)
-    np.multiply(inject, b, out=inject)
-    np.multiply(a, theta, out=a)
-    np.add(inject, a, out=inject)  # mix
+    np.multiply(eta, inject, out=inject)
+    np.multiply(eta, out, out=out)
+    np.subtract(1.0, eta, out=eta)
+    np.add(inject, eta, out=inject)  # loss_map(v_minus, eta)
+    np.add(out, eta, out=out)  # loss_map(v_plus, eta)
+    np.subtract(1.0, theta, out=eta)
+    np.multiply(inject, eta, out=inject)
+    np.multiply(out, theta, out=out)
+    np.add(inject, out, out=inject)  # mix
     np.log10(inject, out=out)
     np.multiply(out, -10.0, out=out)
     np.add(out, 0.0, out=out)
@@ -168,11 +167,12 @@ def _first_order_sigma(
     injected level s in dB, ``dt/deta = -10 D / (V ln 10)`` with
     ``D = dV/deta = (v_minus - 1) c2 + (v_plus - 1) s2``, and
     ``dt/dtheta = -10 eta (v_plus - v_minus) sin(2 theta) / (V ln 10)``.
+    ``v_plus``, ``v_minus`` and ``V`` are read from ``propagate`` of the central values.
     """
     eta, theta = efficiency.value, phase_rms.value
-    v_plus, v_minus = variances_from_db(inject_db.value)
+    chain = propagate(inject_db.value, eta, PhaseNoise(theta))
+    v_plus, v_minus, v = chain.injected.v_plus, chain.injected.v_minus, chain.state.v_minus
     s2 = jitter_weight(theta)
-    v = mix(loss_map(v_minus, eta), loss_map(v_plus, eta), s2)
     d_inject = eta * mix(v_minus, -v_plus, s2) / v
     d_eta = -10.0 * mix(v_minus - 1.0, v_plus - 1.0, s2) / (v * math.log(10.0))
     d_theta = -10.0 * eta * (v_plus - v_minus) * math.sin(2.0 * theta) / (v * math.log(10.0))
@@ -200,16 +200,16 @@ def mc_uncertainty(
     ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
     2**128), so results are reproducible for a fixed (samples, seed).  Memory
     peaks in the reduction at 16 bytes per sample (the result and np.std's
-    deviations) plus one block of draws and two work rows.  ``samples`` must
-    be a whole number >= 1000 and ``seed`` one >= 0; a result buffer that
-    cannot be allocated raises ValueError naming its size.
+    deviations) plus at most one block of draws.  ``samples`` must be a whole
+    number >= 1000 and ``seed`` one >= 0; a result buffer that cannot be
+    allocated raises ValueError naming its size.
     """
     import numpy as np  # only the Monte Carlo needs numpy; the scalar paths start without it
 
     samples = as_whole_number(samples, "samples", ge=1000)
     seed = as_whole_number(seed, "seed")
-    # the central values themselves must be valid inputs
-    propagate(inject_db.value, efficiency.value, PhaseNoise(phase_rms.value))
+    # propagates the central values, so it also rejects any outside the domain
+    first_order_sigma_db = _first_order_sigma(inject_db, efficiency, phase_rms)
     as_float(inject_db.sigma, "inject_db sigma", ge=0.0, le=MAX_INJECT_DB, unit=" dB")
     as_float(efficiency.sigma, "efficiency sigma", ge=0.0, le=1.0)
     as_float(phase_rms.sigma, "phase_rms sigma", ge=0.0, le=MAX_PHASE_RMS, unit=" rad")
@@ -228,7 +228,6 @@ def mc_uncertainty(
     )
     clamped = {name: 0 for name, _, _ in inputs}
     philox = np.random.Philox(seed)
-    work = np.empty((2, min(MC_BLOCK, samples)))
     for block, start in enumerate(range(0, samples, MC_BLOCK)):
         stop = min(start + MC_BLOCK, samples)
         z = np.random.Generator(philox.jumped(block)).standard_normal((3, stop - start))
@@ -238,11 +237,11 @@ def mc_uncertainty(
             if not (row.min() >= 0.0 and row.max() <= high):
                 clamped[name] += int(np.count_nonzero((row < 0.0) | (row > high)))
                 np.clip(row, 0.0, high, out=row)
-        _detected_db_into(*z, *work[:, : stop - start], out=detected[start:stop])
+        _detected_db_into(*z, out=detected[start:stop])
     return McUncertaintyResult(
         mean_db=float(np.mean(detected)),
         sigma_db=float(np.std(detected, ddof=1)),
-        first_order_sigma_db=_first_order_sigma(inject_db, efficiency, phase_rms),
+        first_order_sigma_db=first_order_sigma_db,
         clamped=clamped,
         samples=samples,
         seed=seed,

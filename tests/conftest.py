@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -5,6 +6,25 @@ import pytest
 from sqznb import InterferometerConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: The kernel choice numpy makes on an x86 host without AVX-512; the variable acts per process.
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def host_has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x, whose dispatch targets have other names
+        return False
+    return bool(__cpu_features__.get("AVX512F"))  # a hardware flag: the variable leaves it set
+
+
+def child_env(**extra) -> dict:
+    """This process's environment for a child Python: ``src`` and ``tests`` first on PYTHONPATH,
+    then each ``extra`` variable set, or removed where its value is None."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **extra}
+    return {name: value for name, value in env.items() if value is not None}
 
 
 @pytest.fixture(scope="session")

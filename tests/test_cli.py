@@ -2,7 +2,6 @@
 and byte-level determinism of emitted artifacts."""
 
 import json
-import os
 import pathlib
 import re
 import subprocess
@@ -27,6 +26,7 @@ from sqznb import (
     quantum_noise_curve,
 )
 from sqznb.cli import main
+from conftest import NO_AVX512, child_env, host_has_avx512f
 from test_readme import README_COMMANDS, strict_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -810,6 +810,7 @@ class TestConfigKeysAndTypes:
             [sys.executable, "-m", "sqznb", "budget", str(path), "--out", str(tmp_path / "run")],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2, proc.stderr[:2000]
         assert message in proc.stderr and " characters]" in proc.stderr
@@ -1130,6 +1131,7 @@ class TestDeterminism:
             [sys.executable, "-m", "sqznb", "propagate", "--inject-db", "10.3", "--eta", "0.44"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["detected_db"] == pytest.approx(2.2108, abs=0.001)
@@ -1167,6 +1169,7 @@ def test_overflowing_quantum_noise_exits_3_with_one_line_on_stderr(configs_dir, 
         [sys.executable, "-m", "sqznb", command, str(path), "--out", str(tmp_path / "run")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 3
     # no usage lines and no numpy RuntimeWarning
@@ -1270,9 +1273,6 @@ def test_shipped_runs_write_the_pinned_bytes(runner, configs_dir, tmp_path, run)
     assert written == PINNED_SHA256[run]
 
 
-#: The kernel choice numpy makes on an x86 host without AVX-512; the variable acts per process.
-NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
-
 #: Writes the aligo plots of ``budget --svg`` and ``project`` under argv[2], after checking that
 #: numpy dispatches its AVX-512 kernels exactly when argv[1] is "avx512".
 _PLOTS_IN_ONE_CLASS = """
@@ -1286,25 +1286,13 @@ for args in (["budget", "configs/aligo.json", "--svg"], ["project", "configs/ali
 """
 
 
-def _host_has_avx512f() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x, whose dispatch targets have other names
-        return False
-    return bool(__cpu_features__.get("AVX512F"))  # a hardware flag: the variable leaves it set
-
-
-@pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512, so numpy has one kernel class")
+@pytest.mark.skipif(not host_has_avx512f(), reason="the host has no AVX-512, so numpy has one kernel class")
 def test_plots_do_not_depend_on_numpy_simd_class(tmp_path):
     """The SVG pixels use numpy for + - * / only, which round alike in every kernel class."""
-    env = dict(os.environ)
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    for simd, extra in (("avx512", {}), ("libm", {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})):
+    for simd, features in (("avx512", None), ("libm", NO_AVX512)):
         proc = subprocess.run(
             [sys.executable, "-c", _PLOTS_IN_ONE_CLASS, simd, str(tmp_path / simd)],
-            capture_output=True, text=True, cwd=ROOT, env={**env, **extra},
+            capture_output=True, text=True, cwd=ROOT, env=child_env(NPY_DISABLE_CPU_FEATURES=features),
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
     for command in ("budget", "project"):
@@ -1317,7 +1305,7 @@ def test_cli_import_loads_neither_scipy_nor_threads():
         "import sys, sqznb.cli; "
         "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

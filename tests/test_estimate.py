@@ -1,7 +1,6 @@
 """Efficiency fits, Monte Carlo uncertainty, and optimum injection search."""
 
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -23,9 +22,9 @@ from sqznb import (
     optimal_inject_db,
     propagate,
 )
-from sqznb.estimate import _THETA_MAX, MC_BLOCK
+from sqznb.estimate import _THETA_MAX, MC_BLOCK, _detected_db_into
 from sqznb.states import MAX_INJECT_DB, jitter_weight, loss_map, mix, readout_db, variances_from_db
-from test_cli import NO_AVX512, _host_has_avx512f
+from conftest import NO_AVX512, child_env, host_has_avx512f
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -165,6 +164,20 @@ class TestMcUncertainty:
         assert result.sigma_db.hex() == sigma_hex
         counts = result.clamped
         assert (counts["inject_db"], counts["efficiency"], counts["phase_rms"]) == clamped
+
+    @pytest.mark.parametrize(
+        "inputs, sigma_hex",
+        [
+            (((10.3, 0.2), (0.44, 0.02), (0.037, 0.006)), "0x1.080a51662983fp-3"),
+            (((0.5, 0.4), (0.95, 0.1), (0.037, 0.02)), "0x1.852ba012e1c58p-2"),
+            (((20.0, 0.5), (0.9, 0.05), (0.1, 0.01)), "0x1.c7452d0b83936p-1"),
+        ],
+        ids=["h1", "clamp-everywhere", "strong-squeezing"],
+    )
+    def test_first_order_sigma_is_pinned(self, inputs, sigma_hex):
+        # scalar math on the central values: the same bits in every numpy kernel class
+        result = mc_uncertainty(*(MeasurementWithUncertainty(*m) for m in inputs), samples=1000)
+        assert result.first_order_sigma_db.hex() == sigma_hex
 
     def test_different_seeds_differ(self):
         a = mc_uncertainty(H1_INJECT, H1_EFFICIENCY, H1_PHASE, samples=10_000, seed=1)
@@ -323,18 +336,28 @@ class TestMcKernelAgainstHelperChain:
         for per_block in zip(*block_counts):
             assert 0 in per_block and max(per_block) > 0, block_counts
 
-    @pytest.mark.skipif(not _host_has_avx512f(), reason="the host has no AVX-512: numpy has one kernel class")
+    @pytest.mark.skipif(not host_has_avx512f(), reason="the host has no AVX-512: numpy has one kernel class")
     def test_same_bits_without_avx512(self):
-        paths = [str(ROOT / "src"), str(ROOT / "tests"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
         proc = subprocess.run([sys.executable, "-c", _ORACLE_WITHOUT_AVX512], capture_output=True, text=True,
-                              cwd=ROOT, env=env)
+                              cwd=ROOT, env=child_env(NPY_DISABLE_CPU_FEATURES=NO_AVX512))
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["checked", str(len(ORACLE_INPUTS) * len(ORACLE_SAMPLES))]
 
+    def test_block_kernel_allocates_nothing(self):
+        rows = np.random.default_rng(0).uniform(0.0, 0.5, (3, MC_BLOCK))
+        out = np.empty(MC_BLOCK)
+        tracemalloc.start()
+        try:
+            _detected_db_into(*rows, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one temporary row would take 8 * MC_BLOCK bytes, 512 KiB
+        assert peak < 4096
+
     def test_peak_memory_is_16_bytes_a_sample_plus_a_block(self):
         # the reduction holds the result and np.std's copy of the deviations;
-        # the loop holds one block of draws and the two work rows
+        # the loop holds one block of draws, three rows of MC_BLOCK
         samples = 1_000_000
         tracemalloc.start()
         try:
@@ -342,7 +365,7 @@ class TestMcKernelAgainstHelperChain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * samples + 8 * (3 + 2) * MC_BLOCK + 4 * 2**20
+        assert peak <= 16 * samples + 8 * 3 * MC_BLOCK + 4 * 2**20
 
 
 #: Runs every oracle comparison in numpy's kernel class without AVX-512 and prints how many it checked.

@@ -6,7 +6,6 @@ first use to the object its submodule defines.
 """
 
 import importlib
-import os
 import pathlib
 import subprocess
 import sys
@@ -16,6 +15,7 @@ import pytest
 
 import sqznb
 from sqznb import budget, estimate, interferometer, states
+from conftest import child_env
 from test_readme import README_COMMANDS, readme_args
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -25,18 +25,11 @@ SUBMODULES = ("budget", "config", "estimate", "interferometer", "states")
 TEST_EXTRA = {"jsonschema", "hypothesis", "pytest", "_pytest"}
 
 
-def _env() -> dict:
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return env
-
-
 def imported_modules(args) -> set[str]:
     """Names of the modules that ``python -m sqznb ARGS`` imports, from ``-X importtime``."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "sqznb", *args],
-        capture_output=True, text=True, env=_env(), cwd=ROOT,
+        capture_output=True, text=True, env=child_env(), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return {
@@ -86,7 +79,7 @@ def test_import_sqznb_alone_leaves_numpy_out():
         "print('numpy' in sys.modules, sqznb.states.PhaseNoise is sqznb.PhaseNoise, "
         "'numpy' in sys.modules, sqznb.budget.resample is sqznb.resample)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "False", "True"]
 
