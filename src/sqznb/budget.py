@@ -130,17 +130,18 @@ def ingest_asd(path, label: str | None = None) -> TabulatedASD:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AsdFileError(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from None
-    lines = text.split("\n")  # strip() drops the CR of CRLF
-    keep = [raw.strip()[:1] not in ("", "#") for raw in lines]  # the header, then the data rows
+    lines = text.split("\n")
+    stripped = [raw.strip() for raw in lines]  # strip() drops the CR of CRLF
+    keep = [line[:1] not in ("", "#") for line in stripped]  # the header, then the data rows
     if True not in keep:
         raise AsdFileError(path, 1, f"missing header {ASD_CSV_HEADER!r}")
     numbered = compress(enumerate(lines, start=1), keep)  # (1-based line number, line as read)
-    lineno, raw = next(numbered)
-    header = raw.strip()
+    lineno, _ = next(numbered)
+    header = stripped[lineno - 1]
     if header != ASD_CSV_HEADER:
         raise AsdFileError(path, lineno, f"expected header {ASD_CSV_HEADER!r}, got {_quote(header)}")
     kept = list(compress(lines[lineno:], keep[lineno:]))
-    rows = [raw.strip() for raw in kept]
+    rows = list(compress(stripped[lineno:], keep[lineno:]))
     body = "".join(kept)  # as read: strip() also drops non-ASCII spaces, which the grammar refuses
     if body.isascii() and "_" not in body:  # float() takes 1_0 and non-ASCII digits
         fields = ",".join(rows).split(",")

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import click
 
-# budget, config, interferometer and svgplot load numpy; they are imported in
-# the commands that use them, so propagate, fit and optimize start without it.
-from .estimate import MeasurementWithUncertainty, fit_efficiency, mc_uncertainty, optimal_inject_db
+# estimate, budget, config, interferometer and svgplot are imported in the
+# commands that use them: the last four load numpy, so propagate, fit and
+# optimize start without it, and budget and project load no estimate.
 from .states import ANGLE_POLICIES, LossChain, NumericalRangeError, PhaseNoise, _quote, detected_db, propagate
 
 
@@ -105,6 +105,8 @@ def propagate_cmd(inject_db, eta, loss_flags, phase_mrad):
 @click.option("--phase-mrad", type=float, default=0.0, show_default=True, help="RMS phase jitter [mrad].")
 def fit_cmd(injected, detected, phase_mrad):
     """Fit the detection efficiency behind a measured squeezing level."""
+    from .estimate import fit_efficiency
+
     result = fit_efficiency(injected, detected, PhaseNoise(phase_mrad * 1e-3))
     click.echo(_json({
         "inject_db": injected,
@@ -131,6 +133,8 @@ def fit_cmd(injected, detected, phase_mrad):
 @click.option("--seed", type=float, default=42, show_default=True, metavar="INTEGER")
 def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phase_sigma_mrad, mc_samples, seed):
     """Monte Carlo propagation of input uncertainties to detected dB."""
+    from .estimate import MeasurementWithUncertainty, mc_uncertainty
+
     result = mc_uncertainty(
         MeasurementWithUncertainty(inject_db, inject_sigma_db),
         MeasurementWithUncertainty(eta, eta_sigma),
@@ -154,6 +158,8 @@ def uncertainty_cmd(inject_db, inject_sigma_db, eta, eta_sigma, phase_mrad, phas
 @click.option("--max-db", type=float, default=60.0, show_default=True, help="Upper limit on the injection level [dB].")
 def optimize_cmd(eta, phase_mrad, max_db):
     """Injection level that maximizes detected squeezing under jitter."""
+    from .estimate import optimal_inject_db
+
     result = optimal_inject_db(eta, PhaseNoise(phase_mrad * 1e-3), max_db=max_db)
     click.echo(_json({
         "efficiency": eta,
@@ -165,20 +171,10 @@ def optimize_cmd(eta, phase_mrad, max_db):
 
 
 def _budgets(cfg, policies) -> dict:
-    """One NoiseBudget per angle policy, on the config's grid, with each table resampled once.
-
-    A component label the budget already uses, its own ``quantum`` or an
-    earlier component's, is a ValueError naming both entries, raised before
-    any table is read.
-    """
+    """One NoiseBudget per angle policy, on the config's grid, with each table resampled once."""
     from .budget import compose, ingest_asd, resample
     from .interferometer import quantum_noise_asd
 
-    owners = {"quantum": "the budget's quantum-noise curve"}
-    for i, (label, _) in enumerate(cfg.components):
-        if label in owners:
-            raise ValueError(f"components[{i}].label {_quote(label)} is already used by {owners[label]}")
-        owners[label] = f"components[{i}]"
     grid = cfg.grid.frequencies()
     tables = [(label, resample(ingest_asd(p, label=label), grid)) for label, p in cfg.components]
     budgets = {}

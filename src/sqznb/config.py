@@ -33,7 +33,7 @@ LOW_BAND = (150.0, 300.0)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Frequency grid: span, point count, and log or linear spacing."""
+    """Frequency grid: span, point count, and log or linear spacing; its points are built on construction."""
 
     f_min: float
     f_max: float
@@ -47,22 +47,11 @@ class GridSpec:
         object.__setattr__(self, "points", as_whole_number(self.points, "points", ge=2))
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {_quote(self.spacing)}")
-        f = self.frequencies()
-        if not (f[1:] > f[:-1]).all():
-            raise ValueError(
-                f"grid [{self.f_min}, {self.f_max}] is too narrow for {self.points} "
-                "strictly increasing points"
-            )
-
-    def frequencies(self) -> np.ndarray:
-        """The grid points; the first is exactly ``f_min`` and the last exactly ``f_max``.
-
-        A grid that cannot be allocated raises ValueError naming ``points`` and its size.
-        """
         try:
             if self.spacing == "linear":
-                return np.linspace(self.f_min, self.f_max, self.points)
-            f = np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
+                f = np.linspace(self.f_min, self.f_max, self.points)
+            else:
+                f = np.logspace(math.log10(self.f_min), math.log10(self.f_max), self.points)
         except (MemoryError, ValueError) as exc:  # numpy's refusal of a size past its limit is a ValueError
             raise ValueError(
                 f"points = {self.points} needs a {8 * self.points / 2**30:.3g} GiB grid, "
@@ -70,7 +59,17 @@ class GridSpec:
             ) from exc
         # 10**log10(x) can miss x by an ulp (3000 -> 3000.000000000001)
         f[0], f[-1] = self.f_min, self.f_max
-        return f
+        if not (f[1:] > f[:-1]).all():
+            raise ValueError(
+                f"grid [{self.f_min}, {self.f_max}] is too narrow for {self.points} "
+                "strictly increasing points"
+            )
+        f.flags.writeable = False
+        object.__setattr__(self, "_frequencies", f)
+
+    def frequencies(self) -> np.ndarray:
+        """The grid points as one read-only array; the first is exactly ``f_min``, the last exactly ``f_max``."""
+        return self._frequencies
 
 
 @dataclass(frozen=True)
@@ -178,6 +177,8 @@ def load_run_config(path) -> RunConfig:
     Raises ValueError (with the offending key in the message) for missing
     or ill-typed entries, out-of-range values, or missing component files,
     and (with the path in the message) for a file that is not UTF-8 JSON.
+    Last, a component label already used (``quantum``, or an earlier
+    component's) is a ValueError naming both entries, before any table is read.
     """
     path = Path(path)
     try:
@@ -208,9 +209,15 @@ def load_run_config(path) -> RunConfig:
         components.append((label, str(file_path)))
 
     low, high, _ = _band(raw.get("band_hz", DEFAULT_BAND), grid.frequencies(), "band_hz")
+    label = _label(raw.get("label", interferometer.label), "label")
+    owners = {"quantum": "the budget's quantum-noise curve"}
+    for i, (component, _) in enumerate(components):
+        if component in owners:
+            raise ValueError(f"components[{i}].label {_quote(component)} is already used by {owners[component]}")
+        owners[component] = f"components[{i}]"
 
     return RunConfig(
-        label=_label(raw.get("label", interferometer.label), "label"),
+        label=label,
         interferometer=interferometer,
         squeezer=squeezer,
         grid=grid,

@@ -675,6 +675,16 @@ class TestGridSpec:
     @pytest.mark.parametrize("f_max", [3000.0, 5000.0, 1234.5, 10000.0])
     @pytest.mark.parametrize("spacing", ["log", "linear"])
     def test_grid_ends_are_the_span_ends(self, f_max, spacing):
-        f = GridSpec(10.0, f_max, 100, spacing).frequencies()
+        grid = GridSpec(10.0, f_max, 100, spacing)
+        f = grid.frequencies()
         assert f[0] == 10.0 and f[-1] == f_max
         assert np.all(np.diff(f) > 0.0)
+        # built once: every call hands out the same read-only array
+        assert grid.frequencies() is f
+        assert not f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f[1] = 1.0
+        # numpy's own grid with the two ends snapped, bit for bit
+        built = np.linspace(10.0, f_max, 100) if spacing == "linear" else np.logspace(1.0, math.log10(f_max), 100)
+        built[0], built[-1] = 10.0, f_max
+        assert f.tobytes() == built.tobytes()

@@ -556,7 +556,7 @@ class TestBudgetCommand:
         assert f"{owners} would both go to '{shared}'" in result.output
         assert not list(tmp_path.glob("run*"))
 
-    @pytest.mark.parametrize("command", ["budget", "project"])
+    @pytest.mark.parametrize("command", ["budget", "project", "load_run_config"])
     @pytest.mark.parametrize(
         "labels, message",
         [
@@ -571,11 +571,26 @@ class TestBudgetCommand:
         # the last component's file is no ASD table, so reading it would be a different error
         files = [str(configs_dir / "aligo_thermal_synthetic.csv")] * (len(labels) - 1) + [str(configs_dir / "h1.json")]
         cfg = write_config(tmp_path, components=[{"label": label, "file": f} for label, f in zip(labels, files)])
+        if command == "load_run_config":  # the loader holds the rule, so the API refuses what the CLI does
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_run_config(cfg)
+            return
         out = tmp_path / "out"
         result = runner.invoke(main, [command, str(cfg), "--out", str(out / "run")])
         assert result.exit_code == 2, result.output
         assert f"Error: {message}\n" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "project"])
+    def test_a_bad_band_is_reported_before_a_used_label(self, runner, configs_dir, tmp_path, command):
+        table = str(configs_dir / "aligo_thermal_synthetic.csv")
+        cfg = write_config(tmp_path, components=[{"label": "quantum", "file": table}], band_hz=[400.0, 20000.0])
+        message = "band_hz [400.0, 20000.0] Hz lies outside the grid span [10.0, 10000.0] Hz"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_run_config(cfg)
+        result = runner.invoke(main, [command, str(cfg), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {message}\n" in result.output
 
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n", "\u2028"])
     def test_multiline_label_keeps_every_csv_readable(self, runner, tmp_path, newline):
@@ -866,6 +881,29 @@ class TestConfigKeysAndTypes:
         result = runner.invoke(main, [command, str(path), "--out", str(tmp_path / "run")])
         assert result.exit_code == 2, result.output
         assert "points = 100000000000000000000 needs a" in result.output
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("command", [["budget", "--svg"], ["project"]])
+    def test_a_run_builds_its_grid_once(self, runner, configs_dir, tmp_path, monkeypatch, command, spacing):
+        built = []
+
+        def counting(build):
+            def counted(start, stop, num, *args, **kwargs):
+                built.append(num)
+                return build(start, stop, num, *args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(np, "logspace", counting(np.logspace))
+        monkeypatch.setattr(np, "linspace", counting(np.linspace))
+        cfg = json.loads((configs_dir / "aligo.json").read_text())
+        cfg["components"][0]["file"] = str(configs_dir / cfg["components"][0]["file"])
+        cfg["grid"]["spacing"] = spacing
+        path = tmp_path / "aligo.json"
+        path.write_text(json.dumps(cfg))
+        result = runner.invoke(main, [command[0], str(path), "--out", str(tmp_path / "run"), *command[1:]])
+        assert result.exit_code == 0, result.output
+        assert built == [cfg["grid"]["points"]]
 
     def test_neither_pole_nor_finesse_fails_schema_and_loader(self, configs_dir, schema_dir, tmp_path):
         cfg = json.loads((configs_dir / "h1.json").read_text())

@@ -1,8 +1,9 @@
 """Start-up cost and the lazy package namespace.
 
-The scalar commands (propagate, fit, optimize) run without numpy, no README
-command imports a package of the test extra, and ``sqznb.X`` resolves on
-first use to the object its submodule defines.
+The scalar commands (propagate, fit, optimize) run without numpy, only fit,
+optimize and uncertainty load ``sqznb.estimate``, no README command imports a
+package of the test extra, and ``sqznb.X`` resolves on first use to the object
+its submodule defines.
 """
 
 import importlib
@@ -55,6 +56,8 @@ def test_scalar_commands_never_import_numpy(args):
     modules = imported_modules(args)
     assert "sqznb.cli" in modules
     assert not {m for m in modules if m.split(".")[0] == "numpy"}
+    # the solvers load only for the commands that call them; propagate and --help load none
+    assert ("sqznb.estimate" in modules) == (args[0] in ("fit", "optimize"))
 
 
 def test_uncertainty_loads_numpy_but_not_the_budget_layers():
@@ -71,6 +74,7 @@ def test_readme_commands_import_no_test_package(tmp_path, args):
     if args[0] in ("budget", "project"):
         # np.median's NaN check would load numpy.ma, about 13 ms of a cold budget
         assert "numpy" in modules and "numpy.ma" not in modules
+        assert "sqznb.estimate" not in modules  # the solvers and the Monte Carlo are never called here
 
 
 def test_import_sqznb_alone_leaves_numpy_out():
