@@ -112,6 +112,10 @@ class TabulatedASD:
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(v))
 
+    def __reduce__(self):
+        # copy and pickle drop numpy's read-only flag; the constructor checks and freezes again
+        return TabulatedASD, (self.frequencies, self.asd, self.label, self.source)
+
     def __len__(self):
         return self.frequencies.size
 
@@ -257,6 +261,10 @@ class NoiseBudget:
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "components", MappingProxyType(comps))
         object.__setattr__(self, "total", _freeze(total))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; the constructor rebuilds it and freezes every array
+        return NoiseBudget, (self.grid, dict(self.components))
 
 
 def _power_sum(columns) -> np.ndarray:

@@ -71,6 +71,10 @@ class GridSpec:
         """The grid points as one read-only array; the first is exactly ``f_min``, the last exactly ``f_max``."""
         return self._frequencies
 
+    def __reduce__(self):
+        # a copy or an unpickled grid is built again, so its array is read-only too
+        return GridSpec, (self.f_min, self.f_max, self.points, self.spacing)
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -224,6 +224,10 @@ class QuantumNoiseCurve:
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(a))
 
+    def __reduce__(self):
+        # copy and pickle drop numpy's read-only flag; the constructor checks and freezes again
+        return QuantumNoiseCurve, (self.frequencies, self.asd, self.config, self.setup)
+
     def __len__(self):
         return self.frequencies.size
 

@@ -1,6 +1,8 @@
 """ASD tables, resampling, budget composition, and improvement metrics."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -688,3 +690,36 @@ class TestGridSpec:
         built = np.linspace(10.0, f_max, 100) if spacing == "linear" else np.logspace(1.0, math.log10(f_max), 100)
         built[0], built[-1] = 10.0, f_max
         assert f.tobytes() == built.tobytes()
+
+
+def _frozen_records(config):
+    """One of each record that promises read-only arrays: the record, its arrays, its other fields."""
+    grid = GridSpec(10.0, 3000.0, 40)
+    f = grid.frequencies()
+    asd = 1e-23 * (1.0 + 100.0 / f)
+    return [
+        (grid, lambda r: [r.frequencies()], lambda r: r),
+        (TabulatedASD(f, asd, "seismic", "seismic.csv"), lambda r: [r.frequencies, r.asd],
+         lambda r: (r.label, r.source)),
+        (QuantumNoiseCurve(f, asd, config, SqueezerSetup(inject_db=10.3)), lambda r: [r.frequencies, r.asd],
+         lambda r: (r.config, r.setup)),
+        (compose(f, [("thermal", asd), ("seismic", 2.0 * asd)]),
+         lambda r: [r.grid, r.total, *r.components.values()], lambda r: list(r.components)),
+    ]
+
+
+@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("index", range(4), ids=["GridSpec", "TabulatedASD", "QuantumNoiseCurve", "NoiseBudget"])
+def test_copies_of_frozen_records_stay_read_only(aligo_like, route, index):
+    original, arrays, others = _frozen_records(aligo_like)[index]
+    copied = copy.deepcopy(original) if route == "deepcopy" else pickle.loads(pickle.dumps(original))
+    assert type(copied) is type(original)
+    assert others(copied) == others(original)
+    for mine, theirs in zip(arrays(copied), arrays(original), strict=True):
+        assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mine[0] = 1.0
+    if isinstance(copied, NoiseBudget):
+        with pytest.raises(TypeError):
+            copied.components["thermal"] = copied.total

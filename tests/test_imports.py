@@ -2,8 +2,9 @@
 
 The scalar commands (propagate, fit, optimize) run without numpy, only fit,
 optimize and uncertainty load ``sqznb.estimate``, no README command imports a
-package of the test extra, and ``sqznb.X`` resolves on first use to the object
-its submodule defines.
+package of the test extra, ``python -m sqznb`` starts numpy's OpenBLAS with one
+thread while ``import sqznb`` changes no environment variable, and ``sqznb.X``
+resolves on first use to the object its submodule defines.
 """
 
 import importlib
@@ -86,6 +87,52 @@ def test_import_sqznb_alone_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "False", "True"]
+
+
+def run_child(code: str, **extra) -> str:
+    """Stdout of ``python -c CODE`` with ``OPENBLAS_NUM_THREADS`` unset unless ``extra`` sets it."""
+    env = child_env(**{"OPENBLAS_NUM_THREADS": None, **extra})
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+SHOW_THREADS = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+class TestBlasThreads:
+    """The process entry points start numpy's OpenBLAS with one thread; the library changes no variable."""
+
+    def test_the_entry_point_sets_one_thread(self):
+        assert run_child(f"import sqznb.__main__; {SHOW_THREADS}") == "1"
+
+    def test_a_users_count_is_kept(self):
+        assert run_child(f"import sqznb.__main__; {SHOW_THREADS}", OPENBLAS_NUM_THREADS="3") == "3"
+
+    def test_the_library_leaves_the_environment_alone(self):
+        assert run_child(f"import sqznb, sqznb.cli; {SHOW_THREADS}") == "None"
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_numpy_starts_no_worker_threads(self):
+        assert run_child("import os, sqznb.__main__, numpy; print(len(os.listdir('/proc/self/task')))") == "1"
+
+    def test_the_thread_count_changes_no_output_byte(self, tmp_path):
+        def run(threads):
+            out = tmp_path / threads
+            out.mkdir()
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
+            stdout = []
+            for args in (["uncertainty", "--mc-samples", "1000", "--seed", "3"],
+                         ["budget", "configs/h1.json", "--out", str(out / "h1"), "--svg"]):
+                proc = subprocess.run([sys.executable, "-m", "sqznb", *args],
+                                      capture_output=True, env=env, cwd=ROOT)
+                assert proc.returncode == 0, proc.stderr[-2000:]
+                stdout.append(proc.stdout)
+            return stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+
+        one, two = run("1"), run("2")
+        assert one[1], "budget wrote no file"
+        assert one == two
 
 
 class TestLazyNamespace:

@@ -1,5 +1,6 @@
 """Property tests tying the closed-form inverses to the forward chain, a
-``detected_db`` to a 50-digit decimal oracle within measured ceilings, a
+``detected_db`` to a 50-digit decimal oracle within measured ceilings (the
+largest error and, over a fixed draw set, the median), a
 quantum-only budget's gain to the detected squeezing, the library, CLI and
 run-config paths to one domain rule per input, every record to the float
 that rule returns, the run config, ``budget`` and ``project`` to one band
@@ -17,8 +18,10 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import shutil
+import statistics
 import xml.etree.ElementTree as ET
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -173,6 +176,23 @@ NEAR_0_DB_MAX_RELATIVE = 2.3e-8
 def test_detected_db_is_within_its_ulp_ceiling_of_the_exact_value(inject, eta, theta):
     detected = propagate(inject, eta, PhaseNoise(theta)).detected_db
     assert ulp_error(detected, exact_detected_db(inject, eta, theta)) <= DETECTED_DB_MAX_ULP
+
+
+#: Median error of ``propagate(...).detected_db`` over 400 uniform ``random.Random(1)``
+#: draws in the paper's regime, in ulp: 0.5962 measured (largest 5.686).  The largest
+#: error alone misses a shift of the typical one: ``readout_db`` as ``-10 ln(v) / ln 10``
+#: reads 0.754 here.  A later change may lower this ceiling, never raise it.
+DETECTED_DB_MEDIAN_ULP = 0.597
+
+
+def test_detected_db_median_ulp_error_stays_at_its_ceiling():
+    rng = random.Random(1)
+    draws = [(rng.uniform(5.0, 20.0), rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.06)) for _ in range(400)]
+    errors = [
+        ulp_error(propagate(inject, eta, PhaseNoise(theta)).detected_db, exact_detected_db(inject, eta, theta))
+        for inject, eta, theta in draws
+    ]
+    assert statistics.median(errors) <= DETECTED_DB_MEDIAN_ULP
 
 
 @settings(SETTINGS, max_examples=400)
