@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _PROVIDERS
-from .states import MAX_INJECT_DB, NumericalRangeError, _quote, as_float
+from .states import NumericalRangeError, _quote, as_float, as_inject_db
 
 __all__ = list(_PROVIDERS["budget"])
 
@@ -257,7 +257,7 @@ class NoiseBudget:
                 parts = [c[far] for c in columns]
                 largest = np.maximum.reduce(parts)
                 total[far] = largest * np.sqrt(_power_sum([c / largest for c in parts]))
-        _, (total,) = _validated_curve(grid, [("total", total)])
+                _, (total,) = _validated_curve(grid, [("total", total)])  # a root elsewhere is in range
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "components", MappingProxyType(comps))
         object.__setattr__(self, "total", _freeze(total))
@@ -350,5 +350,4 @@ def equivalent_power_increase(improvement_db: float) -> float:
     x dB is equivalent to multiplying the stored power by 10**(x/10).  The
     gain must lie in [0, MAX_INJECT_DB] dB, which holds every gain a budget can show.
     """
-    x = as_float(improvement_db, "improvement", ge=0.0, le=MAX_INJECT_DB, unit=" dB")
-    return 10.0 ** (x / 10.0) - 1.0
+    return 10.0 ** (as_inject_db(improvement_db, "improvement") / 10.0) - 1.0

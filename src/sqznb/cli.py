@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 for usage or configuration errors, 3 for
 numerical failures (non-finite spectral values).  On one host, all outputs
 are deterministic for fixed flags, config, and seed; across numpy's SIMD
-kernel classes, ``log10``, ``**`` and ``arctan2`` can differ in the last bit.
+kernel classes, ``log10`` and ``**`` can differ in the last bit; on a grid
+both classes share, the quantum curves have one set of bits in every class.
 """
 
 from __future__ import annotations

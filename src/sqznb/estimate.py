@@ -210,8 +210,8 @@ def mc_uncertainty(
     seed = as_whole_number(seed, "seed")
     # propagates the central values, so it also rejects any outside the domain
     first_order_sigma_db = _first_order_sigma(inject_db, efficiency, phase_rms)
-    as_float(inject_db.sigma, "inject_db sigma", ge=0.0, le=MAX_INJECT_DB, unit=" dB")
-    as_float(efficiency.sigma, "efficiency sigma", ge=0.0, le=1.0)
+    as_inject_db(inject_db.sigma, "inject_db sigma")
+    as_efficiency(efficiency.sigma, "efficiency sigma")
     as_float(phase_rms.sigma, "phase_rms sigma", ge=0.0, le=MAX_PHASE_RMS, unit=" rad")
 
     try:

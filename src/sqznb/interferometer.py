@@ -10,11 +10,13 @@ quantum limit, K the optomechanical coupling strength
 
     K(Omega) = 16 P w0 g / (M L c Omega^2 (g^2 + Omega^2))
 
-with P the circulating arm power, w0 the carrier angular frequency and g
-the angular half-bandwidth of the arm cavities.  ``theta_n = atan2(1, -K)``
-is the angle of the input-field quadrature combination that drives the
-readout, and V(theta) is the variance of the injected field along that
-angle.  Coherent vacuum input has V = 1 and recovers the familiar
+with P the circulating arm power, w0 the carrier angular frequency and g the
+angular half-bandwidth of the arm cavities.  ``theta_n = atan2(1, -K)`` is
+the angle of the input-field quadrature combination that drives the readout,
+and V(theta) is the variance of the injected field along that angle; with
+the minor axis at a fixed angle phi it mixes v_minus and v_plus with weight
+sin^2(theta_n - phi) = (cos phi + K sin phi)^2 / (1 + K^2), in that closed
+form.  Coherent vacuum input has V = 1 and recovers the familiar
 shot/radiation-pressure budget ``(h_sql^2/2) (K + 1/K)``; squeezed input
 replaces V with the loss- and jitter-degraded ellipse variance.
 
@@ -26,6 +28,7 @@ noise touches the standard quantum limit where K = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,13 +204,16 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
     vacuum_psd = 0.5 * h_sql**2 * (1.0 + kappa**2) / kappa
 
     state = setup.degraded_state()
+    weight = 0.0  # vacuum, or a minor axis that tracks the noise quadrature: the projection is v_minus
     if setup.angle_policy == "fixed":
-        relative = np.arctan2(1.0, -kappa) - setup.fixed_angle
-        variance = mix(state.v_minus, state.v_plus, np.sin(relative) ** 2)
-    else:
-        # vacuum, or a minor axis that tracks the noise quadrature: projection is v_minus
-        variance = state.v_minus
-    return np.sqrt(vacuum_psd * variance)
+        b = math.cos(setup.fixed_angle) + kappa * math.sin(setup.fixed_angle)
+        weight = b * b / (1.0 + kappa**2)  # sin^2(theta_n - phi), in closed form
+    variance = mix(state.v_minus, state.v_plus, weight)
+    power = vacuum_psd * variance
+    low = power < sys.float_info.min  # a product below the normal floats: take the roots apart
+    if low.any():
+        return np.where(low, np.sqrt(vacuum_psd) * np.sqrt(variance), np.sqrt(power))
+    return np.sqrt(power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +241,7 @@ class QuantumNoiseCurve:
 def quantum_noise_curve(
     config: InterferometerConfig, setup: SqueezerSetup, frequencies
 ) -> QuantumNoiseCurve:
-    """Evaluate the quantum noise ASD over a grid of frequencies.
-
-    The evaluation is point-wise and vectorized in one pass over the grid.
-    """
+    """Evaluate the quantum noise ASD over a grid of frequencies, in one vectorized pass."""
     f = np.asarray(frequencies, dtype=float)
-    return QuantumNoiseCurve(f, quantum_noise_asd(config, setup, f), config, setup)
+    with np.errstate(all="ignore"):  # the record's one check names an inf or a NaN
+        return QuantumNoiseCurve(f, _quantum_asd(config, setup, 2.0 * np.pi * f), config, setup)

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -25,6 +26,24 @@ def child_env(**extra) -> dict:
     paths = [str(ROOT / "src"), str(ROOT / "tests"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **extra}
     return {name: value for name, value in env.items() if value is not None}
+
+
+@pytest.fixture()
+def curve_checks(monkeypatch) -> list:
+    """The grids ``_validated_curve`` is called with from now on, under every sqznb module that imports it."""
+    # load the modules cli imports inside its commands, so that each copy of the name is patched
+    import sqznb.budget, sqznb.cli, sqznb.config, sqznb.interferometer, sqznb.svgplot  # noqa: E401, F401
+
+    rule, calls = sqznb.budget._validated_curve, []
+
+    def counted(frequencies, *args, **kwargs):
+        calls.append(frequencies)
+        return rule(frequencies, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "sqznb" and getattr(module, "_validated_curve", None) is rule:
+            monkeypatch.setattr(module, "_validated_curve", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from sqznb import (
     improvement_db,
     ingest_asd,
     quantum_noise_asd,
+    quantum_noise_curve,
     resample,
     write_asd_csv,
 )
@@ -348,6 +349,8 @@ class TestCurveCheckAtEveryEntryPoint:
             "NoiseBudget": (1, lambda f, v: NoiseBudget(f, {"a": v}), "component 'a'", None),
             "quantum_noise_asd": (1, lambda f, v: quantum_noise_asd(config, SqueezerSetup(), f),
                                   None, None),
+            "quantum_noise_curve": (1, lambda f, v: quantum_noise_curve(config, SqueezerSetup(), f),
+                                    None, None),
             "QuantumNoiseCurve": (1, lambda f, v: QuantumNoiseCurve(f, v, config, SqueezerSetup()),
                                   "quantum noise ASD", None),
             "write_asd_csv": (2, lambda f, v: write_asd_csv(tmp_path / "t.csv", f, v), "ASD",
@@ -357,7 +360,7 @@ class TestCurveCheckAtEveryEntryPoint:
         }
 
     ENTRIES = ["TabulatedASD", "resample", "compose", "NoiseBudget", "quantum_noise_asd",
-               "QuantumNoiseCurve", "write_asd_csv", "write_loglog_svg"]
+               "quantum_noise_curve", "QuantumNoiseCurve", "write_asd_csv", "write_loglog_svg"]
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -391,7 +394,9 @@ class TestCurveCheckAtEveryEntryPoint:
         assert written is None or not written.exists()
 
     @pytest.mark.parametrize("bad", [NAN, INF, 0.0, -0.0], ids=["nan", "inf", "zero", "minus-zero"])
-    @pytest.mark.parametrize("entry", [e for e in ENTRIES if e not in ("resample", "quantum_noise_asd")])
+    @pytest.mark.parametrize(
+        "entry", [e for e in ENTRIES if e not in ("resample", "quantum_noise_asd", "quantum_noise_curve")]
+    )
     def test_bad_value_names_its_frequency(self, tmp_path, aligo_like, entry, bad):
         _, call, name, written = self.entries(tmp_path, aligo_like)[entry]
         values = list(self.VALUES)
@@ -401,6 +406,22 @@ class TestCurveCheckAtEveryEntryPoint:
         assert str(info.value) == f"{name} is not a positive finite number at 20.0 Hz"
         assert info.value.frequency == 20.0
         assert written is None or not written.exists()
+
+
+def test_a_design_point_checks_each_curve_once(aligo_like, curve_checks):
+    """perfbench's api-scan point: two quantum curves, one resampled table and two budgets, one check each."""
+    grid = np.logspace(1, 4, 1000)
+    table = TabulatedASD(np.array([1.0, 1e5]), np.array([1e-22, 1e-25]), "thermal")
+    setups = [SqueezerSetup(10.3, angle_policy="fixed"), SqueezerSetup()]
+    start = len(curve_checks)
+    curves = [quantum_noise_curve(aligo_like, setup, grid).asd for setup in setups]
+    thermal = resample(table, grid)
+    for curve in curves:
+        compose(grid, [("quantum", curve), ("thermal", thermal)])
+    assert len(curve_checks) - start == 5
+    # a total is checked again only where its squares left the float range and it was rescaled
+    compose(grid, [("far", np.full(grid.size, 1e200))])
+    assert len(curve_checks) - start == 7
 
 
 def polylines(path):

@@ -6,6 +6,8 @@ crossover from the bisection oracle below.
 """
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ from sqznb import (
     quantum_noise_curve,
     sql_asd,
 )
+from conftest import NO_AVX512, ROOT, child_env, host_has_avx512f
 
 GRID = np.logspace(1, 4, 400)
 
@@ -276,6 +279,12 @@ class TestQuantumNoiseAsd:
         worse = quantum_noise_asd(aligo_like, fig3_setup("fd-optimal", efficiency=0.8), GRID)
         assert np.all(worse >= better)
 
+    def test_a_psd_below_the_normal_floats_keeps_its_root(self, aligo_like):
+        # at 2750 dB the squeezed PSD, about 1e-321, is subnormal, and its root about 3e-161
+        ideal = fig3_setup(policy="fd-optimal", efficiency=1.0, inject_db=2750.0, theta=0.0)
+        want = quantum_noise_asd(aligo_like, SqueezerSetup(), GRID) * math.sqrt(ideal.degraded_state().v_minus)
+        np.testing.assert_allclose(quantum_noise_asd(aligo_like, ideal, GRID), want, rtol=1e-15, atol=0.0)
+
     def test_vacuum_injection_equals_no_squeezer(self, aligo_like):
         vacuum_sqz = SqueezerSetup(inject_db=0.0, angle_policy="fixed")
         np.testing.assert_array_equal(
@@ -320,3 +329,38 @@ class TestQuantumNoiseCurve:
         curve = quantum_noise_curve(aligo_like, SqueezerSetup(), GRID)
         with pytest.raises(ValueError):
             curve.asd[0] = 1.0
+
+
+#: Prints the sha256 of each policy's quantum curve for both shipped interferometers on a
+#: shared linear grid, after checking that numpy dispatches its AVX-512 kernels exactly
+#: when argv[1] is "avx512".
+_CURVES_IN_ONE_CLASS = """
+import dataclasses, hashlib, math, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from sqznb import load_run_config, quantum_noise_asd
+
+assert __cpu_features__["X86_V4"] is (sys.argv[1] == "avx512"), sys.argv[1]
+grid = np.linspace(10.0, 10000.0, 1000)
+for name in ("h1.json", "aligo.json"):
+    cfg = load_run_config(f"configs/{name}")
+    for policy, angle in [("none", 0.3), ("fd-optimal", 0.3), ("fixed", 0.3), ("fixed", math.pi / 2), ("fixed", 2.5)]:
+        setup = dataclasses.replace(cfg.squeezer, angle_policy=policy, fixed_angle=angle)
+        asd = quantum_noise_asd(cfg.interferometer, setup, grid)
+        print(name, policy, angle, hashlib.sha256(asd.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not host_has_avx512f(), reason="the host has no AVX-512, so numpy has one kernel class")
+def test_quantum_curves_do_not_depend_on_numpy_simd_class():
+    """On a grid both classes share, the curves use numpy for + - * /, square and sqrt only."""
+    lines = {}
+    for simd, features in (("avx512", None), ("libm", NO_AVX512)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CURVES_IN_ONE_CLASS, simd],
+            capture_output=True, text=True, cwd=ROOT, env=child_env(NPY_DISABLE_CPU_FEATURES=features),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines[simd] = proc.stdout.splitlines()
+    assert len(lines["avx512"]) == 10
+    assert lines["libm"] == lines["avx512"]

@@ -1,6 +1,7 @@
 """Property tests tying the closed-form inverses to the forward chain, a
 ``detected_db`` to a 50-digit decimal oracle within measured ceilings (the
-largest error and, over a fixed draw set, the median), a
+largest error and, over a fixed draw set, the median), ``quantum_noise_asd``
+under each angle policy to a second such oracle over a fixed draw set, a
 quantum-only budget's gain to the detected squeezing, the library, CLI and
 run-config paths to one domain rule per input, every record to the float
 that rule returns, the run config, ``budget`` and ``project`` to one band
@@ -123,8 +124,20 @@ def test_first_order_sigma_matches_central_difference(inject, eta, theta, sigmas
 
 
 def decimal_sin(x: Decimal) -> Decimal:
-    """sin x by its Taylor series, summed until a term no longer changes the total; |x| < pi/4 needs no reduction."""
+    """sin x by its Taylor series, summed until a term no longer changes the total.
+
+    No term of |x| < pi exceeds pi**3/6, so at 50 digits no range reduction is needed."""
     total, term, k = Decimal(0), x, 1
+    while total + term != total:
+        total += term
+        term = -term * x * x / ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+def decimal_cos(x: Decimal) -> Decimal:
+    """cos x by its Taylor series, as decimal_sin."""
+    total, term, k = Decimal(0), Decimal(1), 0
     while total + term != total:
         total += term
         term = -term * x * x / ((k + 1) * (k + 2))
@@ -193,6 +206,84 @@ def test_detected_db_median_ulp_error_stays_at_its_ceiling():
         for inject, eta, theta in draws
     ]
     assert statistics.median(errors) <= DETECTED_DB_MEDIAN_ULP
+
+
+#: pi to 60 digits, and the speed of light [m/s] and Planck constant [J s], exact in the 2019 SI.
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+DECIMAL_C = Decimal(299792458)
+DECIMAL_H = Decimal("6.62607015e-34")
+
+
+def exact_quantum_asd(ifo, policy, inject_db, eta, theta, phi, frequency) -> Decimal:
+    """The quantum noise ASD at 50 digits on the exact values of the float inputs, restated without sqznb.
+
+    PSD = h_sql**2/2 (1 + K**2)/K times the degraded ellipse's variance along the noise
+    quadrature theta_n = atan2(1, -K): 1 for "none", v_minus for "fd-optimal", and for
+    "fixed" the mix of v_minus and v_plus with weight sin(theta_n - phi)**2, where
+    sin theta_n = 1/sqrt(1 + K**2) and cos theta_n = -K/sqrt(1 + K**2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        length, mass, power, pole, wavelength = map(
+            Decimal, (ifo.arm_length, ifo.mirror_mass, ifo.arm_power, ifo.cavity_pole, ifo.wavelength)
+        )
+        omega, g = 2 * DECIMAL_PI * Decimal(frequency), 2 * DECIMAL_PI * pole
+        carrier = 2 * DECIMAL_PI * DECIMAL_C / wavelength
+        k = 16 * power * carrier * g / (mass * length * DECIMAL_C * omega**2 * (g * g + omega**2))
+        hbar = DECIMAL_H / (2 * DECIMAL_PI)
+        psd = 4 * hbar / (mass * omega**2 * length**2) * (1 + k * k) / k
+        variance = Decimal(1)
+        if policy != "none":
+            s, e, t, p = Decimal(inject_db), Decimal(eta), Decimal(theta), Decimal(phi)
+            v_plus, v_minus = Decimal(10) ** (s / 10), Decimal(10) ** (-s / 10)
+            lossy_plus, lossy_minus = e * v_plus + (1 - e), e * v_minus + (1 - e)
+            s2 = decimal_sin(t) ** 2
+            v_plus, v_minus = lossy_plus * (1 - s2) + lossy_minus * s2, lossy_minus * (1 - s2) + lossy_plus * s2
+            variance = v_minus
+            if policy == "fixed":
+                root = (1 + k * k).sqrt()
+                w = (decimal_cos(p) / root + k / root * decimal_sin(p)) ** 2  # sin(theta_n - phi)**2
+                variance = v_minus * (1 - w) + v_plus * w
+        return (psd * variance).sqrt()
+
+
+def quantum_asd_draws():
+    """400 uniform ``random.Random(2)`` draws: a shipped interferometer, 10 Hz-10 kHz
+    log-uniform, and the paper's regime (5-20 dB, efficiency 0.3-1, 0-60 mrad), with
+    the fixed squeeze angle across [0, pi)."""
+    ifos = [load_run_config(ROOT / "configs" / name).interferometer for name in ("h1.json", "aligo.json")]
+    rng = random.Random(2)
+    return [
+        (rng.choice(ifos), rng.uniform(5.0, 20.0), rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.06),
+         rng.random() * math.pi, 10.0 ** rng.uniform(1.0, 4.0))
+        for _ in range(400)
+    ]
+
+
+#: (largest, median) ulp error of ``quantum_noise_asd`` per policy over quantum_asd_draws,
+#: measured at landing (the same in both numpy kernel classes): none 2.4277 and 0.5886,
+#: fd-optimal 3.2406 and 0.5756, fixed 4.5400 and 0.7115.  The ``fixed`` projection through
+#: ``arctan2`` and a sine per point, which the closed form replaced, read 9.6705 and 0.8338 on
+#: the same draws.  A later change may lower a ceiling, never raise one.
+QUANTUM_ASD_ULP = {"none": (2.428, 0.589), "fd-optimal": (3.241, 0.576), "fixed": (4.541, 0.712)}
+
+
+@pytest.fixture(scope="module")
+def quantum_asd_errors():
+    errors = {policy: [] for policy in QUANTUM_ASD_ULP}
+    for ifo, inject, eta, theta, phi, f in quantum_asd_draws():
+        for policy, out in errors.items():
+            setup = SqueezerSetup(inject, LossChain.from_total(eta), PhaseNoise(theta), policy, phi)
+            exact = exact_quantum_asd(ifo, policy, inject, eta, theta, phi, f)
+            out.append(ulp_error(quantum_noise_asd(ifo, setup, np.array([f]))[0], exact))
+    return errors
+
+
+@pytest.mark.parametrize("policy", QUANTUM_ASD_ULP)
+def test_quantum_asd_ulp_error_stays_at_its_ceilings(quantum_asd_errors, policy):
+    largest, median = QUANTUM_ASD_ULP[policy]
+    assert max(quantum_asd_errors[policy]) <= largest
+    assert statistics.median(quantum_asd_errors[policy]) <= median
 
 
 @settings(SETTINGS, max_examples=400)
