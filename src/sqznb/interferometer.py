@@ -160,7 +160,10 @@ def _curve(name: str, frequency, rule, *args):
 
 
 def _sql(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
-    return math.sqrt(8.0 * hbar / config.mirror_mass) / (config.arm_length * omega)
+    ratio = 8.0 * hbar / config.mirror_mass
+    if ratio < sys.float_info.min:  # a mirror past about 4e274 kg: take the roots apart
+        return math.sqrt(8.0 * hbar) / math.sqrt(config.mirror_mass) / (config.arm_length * omega)
+    return math.sqrt(ratio) / (config.arm_length * omega)
 
 
 def _kappa(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
@@ -201,7 +204,8 @@ def quantum_noise_asd(config: InterferometerConfig, setup: SqueezerSetup, freque
 def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.ndarray) -> np.ndarray:
     kappa = _kappa(config, omega)
     h_sql = _sql(config, omega)
-    vacuum_psd = 0.5 * h_sql**2 * (1.0 + kappa**2) / kappa
+    sql_psd = h_sql**2
+    vacuum_psd = 0.5 * sql_psd * (1.0 + kappa**2) / kappa
 
     state = setup.degraded_state()
     weight = 0.0  # vacuum, or a minor axis that tracks the noise quadrature: the projection is v_minus
@@ -210,9 +214,12 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
         weight = b * b / (1.0 + kappa**2)  # sin^2(theta_n - phi), in closed form
     variance = mix(state.v_minus, state.v_plus, weight)
     power = vacuum_psd * variance
-    low = power < sys.float_info.min  # a product below the normal floats: take the roots apart
+    # a square or a product below the normal floats: take the roots apart
+    heavy = sql_psd < sys.float_info.min  # a mirror of about 1e259 kg or more on a 4 km arm
+    low = heavy | (power < sys.float_info.min)
     if low.any():
-        return np.where(low, np.sqrt(vacuum_psd) * np.sqrt(variance), np.sqrt(power))
+        root = np.where(heavy, h_sql * np.sqrt(0.5 * (1.0 + kappa**2) / kappa), np.sqrt(vacuum_psd))
+        return np.where(low, root * np.sqrt(variance), np.sqrt(power))
     return np.sqrt(power)
 
 

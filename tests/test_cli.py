@@ -1319,14 +1319,24 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", PINNED_RUNS)
-def test_shipped_runs_write_the_pinned_bytes(runner, configs_dir, tmp_path, run):
+@pytest.mark.parametrize(
+    "run, entry",
+    [pytest.param(run, "CliRunner", id=run) for run in PINNED_RUNS]
+    + [pytest.param(run, "python -m sqznb", id=f"{run}-python-m") for run in PINNED_RUNS],
+)
+def test_shipped_runs_write_the_pinned_bytes(runner, configs_dir, tmp_path, run, entry):
+    """In process, and through the entry point, which runs with the cycle collector off."""
     import hashlib
 
     command, config, *flags = PINNED_RUNS[run]
     args = [command, str(configs_dir / config), "--out", str(tmp_path / "run"), *flags]
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0, result.output
+    if entry == "CliRunner":
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    else:
+        proc = subprocess.run([sys.executable, "-m", "sqznb", *args], capture_output=True, text=True,
+                              cwd=ROOT, env=child_env())
+        assert proc.returncode == 0, proc.stderr[-2000:]
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == PINNED_SHA256[run]
 

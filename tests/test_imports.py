@@ -3,8 +3,9 @@
 The scalar commands (propagate, fit, optimize) run without numpy, only fit,
 optimize and uncertainty load ``sqznb.estimate``, no README command imports a
 package of the test extra, ``python -m sqznb`` starts numpy's OpenBLAS with one
-thread while ``import sqznb`` changes no environment variable, and ``sqznb.X``
-resolves on first use to the object its submodule defines.
+thread while ``import sqznb`` changes no environment variable, the entry point
+runs a command with the cycle collector off while the library leaves it on,
+and ``sqznb.X`` resolves on first use to the object its submodule defines.
 """
 
 import importlib
@@ -133,6 +134,52 @@ class TestBlasThreads:
         one, two = run("1"), run("2")
         assert one[1], "budget wrote no file"
         assert one == two
+
+
+#: Runs ``sqznb.__main__.main()`` on argv[1:] and prints how many collections the cyclic
+#: collector started in it; the count is printed before the exit code passes on.
+COUNT_COLLECTIONS = """
+import gc, sys
+import sqznb.__main__
+
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+sys.argv[0] = "sqznb"
+try:
+    sqznb.__main__.main()
+finally:
+    print(len(starts))
+"""
+
+
+class TestCycleCollector:
+    """The entry point runs a command with the collector off and the heap frozen at exit; the library,
+    the import of the entry point and in-process ``cli.main`` leave the collector as they find it."""
+
+    def test_the_library_leaves_the_collector_alone(self):
+        code = (
+            "import gc, sqznb, sqznb.cli, sqznb.__main__; from click.testing import CliRunner; "
+            "r = CliRunner().invoke(sqznb.cli.main, ['propagate', '--inject-db', '10.3', '--eta', '0.44']); "
+            "print(r.exit_code, gc.isenabled(), gc.get_freeze_count())"
+        )
+        assert run_child(code) == "0 True 0"
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["budget", "configs/h1.json", "--out", "{tmp}/h1", "--svg"], 0),
+            (["fit", "--injected", "10.3", "--detected", "20"], 2),
+        ],
+        ids=["budget", "usage-error"],
+    )
+    def test_a_command_runs_without_a_collection(self, tmp_path, args, code):
+        argv = [a.format(tmp=tmp_path) for a in args]
+        proc = subprocess.run([sys.executable, "-c", COUNT_COLLECTIONS, *argv],
+                              capture_output=True, text=True, env=child_env(), cwd=ROOT)
+        assert proc.returncode == code, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "0"
+        if code == 0:
+            assert (tmp_path / "h1-total.csv").is_file()
 
 
 class TestLazyNamespace:

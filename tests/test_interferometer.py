@@ -211,7 +211,7 @@ COMPUTED = {
         ((4000.0, 1e-300, 8e5, 390.0), "quantum_noise_asd"),  # K overflows in K**2: ASD inf
         ((4000.0, 40.0, 1e300, 390.0), "coupling_kappa"),  # K inf
         ((4000.0, 40.0, 1e300, 390.0), "quantum_noise_asd"),  # inf/inf: ASD nan
-        ((4000.0, 1e300, 1e-300, 390.0), "sql_asd"),  # SQL underflows to 0
+        ((1e300, 1e300, 1e-300, 390.0), "sql_asd"),  # SQL underflows to 0
         ((4000.0, 1e300, 1e-300, 390.0), "coupling_kappa"),  # K underflows to 0
         ((4000.0, 1e300, 1e-300, 390.0), "quantum_noise_asd"),
     ],
@@ -284,6 +284,17 @@ class TestQuantumNoiseAsd:
         ideal = fig3_setup(policy="fd-optimal", efficiency=1.0, inject_db=2750.0, theta=0.0)
         want = quantum_noise_asd(aligo_like, SqueezerSetup(), GRID) * math.sqrt(ideal.degraded_state().v_minus)
         np.testing.assert_allclose(quantum_noise_asd(aligo_like, ideal, GRID), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("mass", [1e270, 1e280])
+    def test_a_heavy_mirror_keeps_its_quantum_noise(self, aligo_like, mass):
+        # h_sql**2 is subnormal here (and 8 hbar / M at 1e280 kg), though the ASD, about 1e-24, is not
+        heavy = InterferometerConfig(aligo_like.arm_length, mass, aligo_like.arm_power, aligo_like.cavity_pole)
+        f = np.logspace(1, 3, 200)
+        unit = InterferometerConfig(aligo_like.arm_length, 1.0, aligo_like.arm_power, aligo_like.cavity_pole)
+        np.testing.assert_allclose(sql_asd(heavy, f) * math.sqrt(mass), sql_asd(unit, f), rtol=1e-15, atol=0.0)
+        kappa = coupling_kappa(heavy, f)
+        want = sql_asd(heavy, f) * np.sqrt((1.0 + kappa**2) / (2.0 * kappa))
+        np.testing.assert_allclose(quantum_noise_asd(heavy, SqueezerSetup(), f), want, rtol=1e-15, atol=0.0)
 
     def test_vacuum_injection_equals_no_squeezer(self, aligo_like):
         vacuum_sqz = SqueezerSetup(inject_db=0.0, angle_policy="fixed")

@@ -1,7 +1,8 @@
 """Property tests tying the closed-form inverses to the forward chain, a
 ``detected_db`` to a 50-digit decimal oracle within measured ceilings (the
 largest error and, over a fixed draw set, the median), ``quantum_noise_asd``
-under each angle policy to a second such oracle over a fixed draw set, a
+under each angle policy, the fitted efficiency and the optimal injection
+level to such oracles over fixed draw sets, a
 quantum-only budget's gain to the detected squeezing, the library, CLI and
 run-config paths to one domain rule per input, every record to the float
 that rule returns, the run config, ``budget`` and ``project`` to one band
@@ -284,6 +285,54 @@ def test_quantum_asd_ulp_error_stays_at_its_ceilings(quantum_asd_errors, policy)
     largest, median = QUANTUM_ASD_ULP[policy]
     assert max(quantum_asd_errors[policy]) <= largest
     assert statistics.median(quantum_asd_errors[policy]) <= median
+
+
+def exact_fitted_eta(inject_db: float, detected: float, theta: float) -> Decimal:
+    """The efficiency that reads ``detected`` dB, at 50 digits on the exact float inputs, restated
+    without sqznb: the detected variance 1 - eta * (1 - V1) is affine in eta, with V1 the variance
+    at eta = 1, so eta = (1 - 10**(-detected/10)) / (1 - V1), at most 1."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s, s2 = Decimal(inject_db), decimal_sin(Decimal(theta)) ** 2
+        v_plus, v_minus = Decimal(10) ** (s / 10), Decimal(10) ** (-s / 10)
+        gain = 1 - (v_minus * (1 - s2) + v_plus * s2)
+        return min(Decimal(1), (1 - Decimal(10) ** (-Decimal(detected) / 10)) / gain)
+
+
+def exact_optimal_inject_db(theta: float) -> Decimal:
+    """10 log10(cot theta) dB at 50 digits, clamped to [0, 60] dB as the default ``max_db``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(theta)
+        return min(max(10 * (decimal_cos(t) / decimal_sin(t)).log10(), Decimal(0)), Decimal(60))
+
+
+#: (largest, median) ulp error over 400 uniform ``random.Random(3)`` draws in the paper's
+#: regime, measured at landing: ``fit_efficiency(...).estimate`` for the level each draw
+#: detects 2.5802 and 0.3974, ``optimal_inject_db(...).inject_db`` 1.2856 and 0.3227.
+#: A later change may lower a ceiling, never raise one.
+SOLVER_ULP = {"fitted efficiency": (2.581, 0.398), "optimal level": (1.286, 0.323)}
+
+
+@pytest.fixture(scope="module")
+def solver_errors():
+    rng = random.Random(3)
+    errors = {name: [] for name in SOLVER_ULP}
+    for _ in range(400):
+        inject, eta, theta = rng.uniform(5.0, 20.0), rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.06)
+        detected = propagate(inject, eta, PhaseNoise(theta)).detected_db
+        fitted = fit_efficiency(inject, detected, PhaseNoise(theta)).estimate
+        errors["fitted efficiency"].append(ulp_error(fitted, exact_fitted_eta(inject, detected, theta)))
+        best = optimal_inject_db(eta, PhaseNoise(theta)).inject_db
+        errors["optimal level"].append(ulp_error(best, exact_optimal_inject_db(theta)))
+    return errors
+
+
+@pytest.mark.parametrize("name", SOLVER_ULP)
+def test_solver_ulp_error_stays_at_its_ceilings(solver_errors, name):
+    largest, median = SOLVER_ULP[name]
+    assert max(solver_errors[name]) <= largest
+    assert statistics.median(solver_errors[name]) <= median
 
 
 @settings(SETTINGS, max_examples=400)
