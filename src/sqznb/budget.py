@@ -217,10 +217,15 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
             f"[{lo} Hz, {hi} Hz]"
         )
     out = 10.0 ** np.interp(np.log10(g), np.log10(table.frequencies), np.log10(table.asd))
-    # snap knots to the tabulated values so they are reproduced bit-exactly
-    idx = np.clip(np.searchsorted(table.frequencies, g), 0, len(table) - 1)
-    knot = table.frequencies[idx] == g
-    out = np.where(knot, table.asd[idx], out)
+    # snap knots to their values bit-exactly, searching the shorter array in the longer
+    if len(table) <= g.size:
+        idx = np.searchsorted(g[:-1], table.frequencies)  # in range, at the one point that can match
+        hit = g[idx] == table.frequencies
+        out[idx[hit]] = table.asd[hit]
+    else:
+        idx = np.searchsorted(table.frequencies[:-1], g)
+        hit = table.frequencies[idx] == g
+        out[hit] = table.asd[idx[hit]]
     return out
 
 
@@ -260,7 +265,8 @@ class NoiseBudget:
                 _, (total,) = _validated_curve(grid, [("total", total)])  # a root elsewhere is in range
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "components", MappingProxyType(comps))
-        object.__setattr__(self, "total", _freeze(total))
+        total.flags.writeable = False  # computed here, so no caller holds it
+        object.__setattr__(self, "total", total)
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled; the constructor rebuilds it and freezes every array
@@ -295,7 +301,7 @@ class BandImprovement:
 
 
 def _band(band, grid, name: str):
-    """The one rule for a band on a grid: return ``(low, high, mask of the points inside)``.
+    """The one rule for a band on a grid: return ``(low, high, slice of the points inside)``.
 
     ``band`` must be a list, tuple or numpy array of two numbers, and
     ``band[0]`` < ``band[1]`` must be finite, inside ``[grid[0], grid[-1]]``
@@ -310,10 +316,10 @@ def _band(band, grid, name: str):
         raise ValueError(
             f"{name} [{lo}, {hi}] Hz lies outside the grid span [{grid[0]}, {grid[-1]}] Hz"
         )
-    mask = (grid >= lo) & (grid <= hi)
-    if not mask.any():
+    inside = slice(np.searchsorted(grid, lo), np.searchsorted(grid, hi, "right"))  # grid increases
+    if inside.start == inside.stop:
         raise ValueError(f"no grid points inside {name} [{lo}, {hi}] Hz")
-    return lo, hi, mask
+    return lo, hi, inside
 
 
 def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandImprovement:
@@ -324,15 +330,15 @@ def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandI
     (the "up to" figure).  Both budgets must share the grid, and the band
     must pass ``_band`` on it.
     """
-    lo, hi, mask = _band(band, reference.grid, "band")
+    lo, hi, inside = _band(band, reference.grid, "band")
     if not np.array_equal(reference.grid, squeezed.grid):
         raise ValueError("budgets are on different frequency grids")
-    ratio = reference.total[mask] / squeezed.total[mask]
+    ratio = reference.total[inside] / squeezed.total[inside]
     return BandImprovement(
-        median_db=20.0 * math.log10(_median(ratio)) + 0.0,
-        max_db=20.0 * math.log10(float(np.max(ratio))) + 0.0,
+        median_db=20.0 * math.log10(_median(ratio)),
+        max_db=20.0 * math.log10(float(np.max(ratio))),
         band=(lo, hi),
-        points=int(mask.sum()),
+        points=int(inside.stop - inside.start),
     )
 
 

@@ -86,6 +86,7 @@ def fit_efficiency(
             f"detected level {target} dB exceeds the injected level {inject_db} dB"
         )
 
+    phase_noise = _phase_noise(phase_noise)
     full = propagate(inject_db, 1.0, phase_noise)
     if inject_db == 0.0:
         # vacuum in, vacuum out: every efficiency reproduces 0 dB

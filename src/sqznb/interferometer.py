@@ -169,7 +169,15 @@ def _sql(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
 def _kappa(config: InterferometerConfig, omega: np.ndarray) -> np.ndarray:
     g = config.pole_omega
     numerator = 16.0 * config.arm_power * config.carrier_omega * g
-    return numerator / (config.mirror_mass * config.arm_length * c * omega**2 * (g * g + omega**2))
+    omega2 = omega**2
+    denominator = config.mirror_mass * config.arm_length * c * omega2 * (g * g + omega2)
+    kappa = numerator / denominator
+    # the product overflows for a mirror past about 1e277 kg on a 4 km arm at 10 kHz,
+    # though K is a normal float there: divide step by step where it does
+    if not denominator.max(initial=0.0) < math.inf:
+        apart = numerator / config.mirror_mass / (config.arm_length * c) / omega2 / (g * g + omega2)
+        kappa = np.where(denominator < math.inf, kappa, apart)
+    return kappa
 
 
 def sql_asd(config: InterferometerConfig, frequency):
@@ -205,20 +213,22 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
     kappa = _kappa(config, omega)
     h_sql = _sql(config, omega)
     sql_psd = h_sql**2
-    vacuum_psd = 0.5 * sql_psd * (1.0 + kappa**2) / kappa
+    coupling = 1.0 + kappa**2
+    vacuum_psd = 0.5 * sql_psd * coupling / kappa
 
     state = setup.degraded_state()
     weight = 0.0  # vacuum, or a minor axis that tracks the noise quadrature: the projection is v_minus
     if setup.angle_policy == "fixed":
         b = math.cos(setup.fixed_angle) + kappa * math.sin(setup.fixed_angle)
-        weight = b * b / (1.0 + kappa**2)  # sin^2(theta_n - phi), in closed form
+        weight = b * b / coupling  # sin^2(theta_n - phi), in closed form
     variance = mix(state.v_minus, state.v_plus, weight)
     power = vacuum_psd * variance
     # a square or a product below the normal floats: take the roots apart
-    heavy = sql_psd < sys.float_info.min  # a mirror of about 1e259 kg or more on a 4 km arm
-    low = heavy | (power < sys.float_info.min)
-    if low.any():
-        root = np.where(heavy, h_sql * np.sqrt(0.5 * (1.0 + kappa**2) / kappa), np.sqrt(vacuum_psd))
+    tiny = sys.float_info.min
+    if not (sql_psd.min(initial=math.inf) >= tiny and power.min(initial=math.inf) >= tiny):
+        heavy = sql_psd < tiny  # a mirror of about 1e259 kg or more on a 4 km arm
+        low = heavy | (power < tiny)
+        root = np.where(heavy, h_sql * np.sqrt(0.5 * coupling / kappa), np.sqrt(vacuum_psd))
         return np.where(low, root * np.sqrt(variance), np.sqrt(power))
     return np.sqrt(power)
 

@@ -318,6 +318,6 @@ def propagate(
     """
     injected = SqueezedState(*variances_from_db(as_inject_db(inject_db)))
     eta = as_efficiency(losses.total if isinstance(losses, LossChain) else losses)
-    after_loss = apply_loss(injected, eta)
+    after_loss = SqueezedState(loss_map(injected.v_plus, eta), loss_map(injected.v_minus, eta))
     final = apply_phase_noise(after_loss, phase_noise)
     return PropagationResult(injected, eta, after_loss, final, detected_db(final))

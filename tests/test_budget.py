@@ -17,12 +17,14 @@ from sqznb import (
     SqueezerSetup,
     TabulatedASD,
     compose,
+    coupling_kappa,
     equivalent_power_increase,
     improvement_db,
     ingest_asd,
     quantum_noise_asd,
     quantum_noise_curve,
     resample,
+    sql_asd,
     write_asd_csv,
 )
 
@@ -351,6 +353,8 @@ class TestCurveCheckAtEveryEntryPoint:
                                   None, None),
             "quantum_noise_curve": (1, lambda f, v: quantum_noise_curve(config, SqueezerSetup(), f),
                                     None, None),
+            "sql_asd": (1, lambda f, v: sql_asd(config, f), None, None),
+            "coupling_kappa": (1, lambda f, v: coupling_kappa(config, f), None, None),
             "QuantumNoiseCurve": (1, lambda f, v: QuantumNoiseCurve(f, v, config, SqueezerSetup()),
                                   "quantum noise ASD", None),
             "write_asd_csv": (2, lambda f, v: write_asd_csv(tmp_path / "t.csv", f, v), "ASD",
@@ -360,7 +364,8 @@ class TestCurveCheckAtEveryEntryPoint:
         }
 
     ENTRIES = ["TabulatedASD", "resample", "compose", "NoiseBudget", "quantum_noise_asd",
-               "quantum_noise_curve", "QuantumNoiseCurve", "write_asd_csv", "write_loglog_svg"]
+               "quantum_noise_curve", "QuantumNoiseCurve", "sql_asd", "coupling_kappa",
+               "write_asd_csv", "write_loglog_svg"]
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -377,6 +382,7 @@ class TestCurveCheckAtEveryEntryPoint:
             pytest.param([10.0, 30.0, 20.0, 40.0], INCREASING, id="decreasing-step"),
             pytest.param([10.0, 30.0, 20.0, NAN], POSITIVE, id="decreasing-and-nan"),
             pytest.param([NAN], POSITIVE, id="one-point-nan"),
+            pytest.param([], None, id="empty"),  # the message names each entry's min_points
             pytest.param([[10.0, 20.0], [30.0, 40.0]], "frequencies must be a 1-d array, got shape (2, 2)",
                          id="two-d"),
         ],
@@ -395,7 +401,9 @@ class TestCurveCheckAtEveryEntryPoint:
 
     @pytest.mark.parametrize("bad", [NAN, INF, 0.0, -0.0], ids=["nan", "inf", "zero", "minus-zero"])
     @pytest.mark.parametrize(
-        "entry", [e for e in ENTRIES if e not in ("resample", "quantum_noise_asd", "quantum_noise_curve")]
+        "entry",
+        [e for e in ENTRIES
+         if e not in ("resample", "quantum_noise_asd", "quantum_noise_curve", "sql_asd", "coupling_kappa")],
     )
     def test_bad_value_names_its_frequency(self, tmp_path, aligo_like, entry, bad):
         _, call, name, written = self.entries(tmp_path, aligo_like)[entry]

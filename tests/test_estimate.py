@@ -22,7 +22,7 @@ from sqznb import (
     optimal_inject_db,
     propagate,
 )
-from sqznb.estimate import _THETA_MAX, MC_BLOCK, _detected_db_into
+from sqznb.estimate import _RANGE_SLACK_DB, _THETA_MAX, MC_BLOCK, _detected_db_into
 from sqznb.states import MAX_INJECT_DB, jitter_weight, loss_map, mix, readout_db, variances_from_db
 from conftest import NO_AVX512, child_env, host_has_avx512f
 
@@ -83,6 +83,17 @@ class TestFitEfficiency:
         # at 35 mrad the attainable maximum for 10.3 dB injected is ~9.7 dB
         with pytest.raises(InfeasibleTargetError, match="attainable range"):
             fit_efficiency(10.3, 9.8, PhaseNoise(0.035))
+
+    def test_an_injection_that_rounds_to_vacuum_is_infeasible(self):
+        # 10**(-1e-18) rounds to 1, so the gain at eta = 1 is 0 and no efficiency squeezes
+        with pytest.raises(InfeasibleTargetError, match="attainable range"):
+            fit_efficiency(1e-17, 1e-12, 0)
+
+    def test_the_attainable_level_holds_its_slack(self):
+        top = propagate(10.3, 1.0, PhaseNoise(0.035)).detected_db
+        assert fit_efficiency(10.3, top + _RANGE_SLACK_DB, 0.035).estimate == 1.0
+        with pytest.raises(InfeasibleTargetError, match="attainable range"):
+            fit_efficiency(10.3, top + 2 * _RANGE_SLACK_DB, 0.035)
 
     def test_rejects_target_above_injection(self):
         with pytest.raises(ValueError, match="exceeds"):

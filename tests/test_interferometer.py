@@ -196,6 +196,17 @@ class TestCouplingKappa:
         with pytest.raises(ValueError):
             coupling_kappa(aligo_like, -5.0)
 
+    @pytest.mark.parametrize("mass", [1e278, 1e285, 1e300])
+    def test_a_heavy_mirror_keeps_its_coupling(self, aligo_like, mass):
+        # M L c Omega^2 (g^2 + Omega^2) overflows here, from 10 kHz at 1e278 kg to all of the
+        # grid at 1e300 kg, though K, down to about 3e-306, is a normal float
+        import dataclasses
+
+        f = np.logspace(1, 4, 200)
+        heavy = dataclasses.replace(aligo_like, mirror_mass=mass)
+        unit = dataclasses.replace(aligo_like, mirror_mass=1.0)
+        np.testing.assert_allclose(coupling_kappa(heavy, f), coupling_kappa(unit, f) / mass, rtol=1e-15, atol=0.0)
+
 
 #: The three computed curves, each called as ``curve(config, frequency)``.
 COMPUTED = {
@@ -285,9 +296,10 @@ class TestQuantumNoiseAsd:
         want = quantum_noise_asd(aligo_like, SqueezerSetup(), GRID) * math.sqrt(ideal.degraded_state().v_minus)
         np.testing.assert_allclose(quantum_noise_asd(aligo_like, ideal, GRID), want, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("mass", [1e270, 1e280])
+    @pytest.mark.parametrize("mass", [1e270, 1e280, 1e300])
     def test_a_heavy_mirror_keeps_its_quantum_noise(self, aligo_like, mass):
-        # h_sql**2 is subnormal here (and 8 hbar / M at 1e280 kg), though the ASD, about 1e-24, is not
+        # h_sql**2 is subnormal here (and 8 hbar / M from 1e280 kg, and K's denominator overflows
+        # at 1e300 kg), though the ASD, about 1e-24, is not
         heavy = InterferometerConfig(aligo_like.arm_length, mass, aligo_like.arm_power, aligo_like.cavity_pole)
         f = np.logspace(1, 3, 200)
         unit = InterferometerConfig(aligo_like.arm_length, 1.0, aligo_like.arm_power, aligo_like.cavity_pole)

@@ -6,7 +6,8 @@ level to such oracles over fixed draw sets, a
 quantum-only budget's gain to the detected squeezing, the library, CLI and
 run-config paths to one domain rule per input, every record to the float
 that rule returns, the run config, ``budget`` and ``project`` to one band
-rule, every label to well-formed output files or none, the outputs of a run
+rule, ``resample``'s knots and ``improvement_db``'s band to the element-wise
+mask rule, every label to well-formed output files or none, the outputs of a run
 to distinct files, every component value a table can hold to well-formed
 files or none, the run-config loader to its schema, and ``ingest_asd`` to
 a row-by-row reader of the same contract.
@@ -562,6 +563,52 @@ def test_one_band_rule_for_loader_budget_and_project(case, band_dir):
     assert accepted == (f_min <= low < high <= f_max and holds_a_point)
     flat = TabulatedASD(np.array([f_min, f_max]), np.array([1e-24, 1e-24]), "edge")
     assert np.all(resample(flat, grid) == 1e-24)
+
+
+@st.composite
+def tables_grids_and_bands(draw):
+    """A table, a grid holding a random subset of its knots among points between them, the
+    values of two budgets on that grid, and a band whose ends sit on grid points, between two
+    of them, or anywhere in the span."""
+    knots = sorted(set(draw(st.lists(unit(1.0, 1e4), min_size=2, max_size=40))))
+    assume(len(knots) >= 2)
+    values = draw(st.lists(unit(1e-26, 1e-20), min_size=len(knots), max_size=len(knots)))
+    table = TabulatedASD(np.array(knots), np.array(values), "table")
+    hits = [k for k in knots if draw(st.booleans())]
+    grid = sorted(set(hits + draw(st.lists(unit(knots[0], knots[-1]), max_size=60))))
+    assume(len(grid) >= 2)
+    gaps = [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
+    edge = st.sampled_from(grid + gaps) | unit(grid[0], grid[-1])
+    low, high = sorted((draw(edge), draw(edge)))
+    assume(low < high)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    totals = 10.0 ** rng.uniform(-25.0, -22.0, (2, len(grid)))
+    return table, np.array(grid), totals, (low, high)
+
+
+@SETTINGS
+@given(case=tables_grids_and_bands())
+def test_knot_and_band_selections_match_the_mask_rule(case):
+    """resample's knots and improvement_db's band are found by search; each selects what an
+    element-wise comparison over the whole grid selects, and gives the same bits."""
+    table, grid, totals, (low, high) = case
+    at_knot = dict(zip(table.frequencies.tolist(), table.asd.tolist()))
+    resampled = resample(table, grid).tolist()
+    for f, value in zip(grid.tolist(), resampled):
+        if f in at_knot:
+            assert value == at_knot[f]
+
+    reference, squeezed = (compose(grid, [("q", total)]) for total in totals)
+    mask = (grid >= low) & (grid <= high)
+    if not mask.any():
+        with pytest.raises(ValueError, match="no grid points inside band"):
+            improvement_db(reference, squeezed, (low, high))
+        return
+    got = improvement_db(reference, squeezed, (low, high))
+    ratio = (reference.total[mask] / squeezed.total[mask]).tolist()
+    assert got.points == int(np.count_nonzero(mask))
+    assert got.median_db == 20.0 * math.log10(statistics.median(ratio))
+    assert got.max_db == 20.0 * math.log10(max(ratio))
 
 
 #: Characters a label may not hold, next to ones it may: markup, line breaks, a slash.
