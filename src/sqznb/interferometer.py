@@ -223,13 +223,11 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
         weight = b * b / coupling  # sin^2(theta_n - phi), in closed form
     variance = mix(state.v_minus, state.v_plus, weight)
     power = vacuum_psd * variance
-    # a square or a product below the normal floats: take the roots apart
+    # h_sql**2 (a mirror past ~1e259 kg) or the power (past ~2600 dB) below the normal floats: roots apart
     tiny = sys.float_info.min
     if not (sql_psd.min(initial=math.inf) >= tiny and power.min(initial=math.inf) >= tiny):
-        heavy = sql_psd < tiny  # a mirror of about 1e259 kg or more on a 4 km arm
-        low = heavy | (power < tiny)
-        root = np.where(heavy, h_sql * np.sqrt(0.5 * coupling / kappa), np.sqrt(vacuum_psd))
-        return np.where(low, root * np.sqrt(variance), np.sqrt(power))
+        low = (sql_psd < tiny) | (power < tiny)
+        return np.where(low, h_sql * np.sqrt(0.5 * coupling / kappa) * np.sqrt(variance), np.sqrt(power))
     return np.sqrt(power)
 
 

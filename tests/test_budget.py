@@ -66,6 +66,11 @@ class TestIngest:
         with pytest.raises(AsdFileError, match=r":4:.*increase"):
             ingest_asd(path)
 
+    def test_repeated_frequency_names_line(self, tmp_path):
+        path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\n20.0,1e-22\n20.0,1e-22\n")
+        with pytest.raises(AsdFileError, match=r":4:.*does not increase"):
+            ingest_asd(path)
+
     def test_malformed_row_names_line(self, tmp_path):
         path = write(tmp_path, f"{ASD_CSV_HEADER}\n10.0,1e-22\n20.0,1e-22,extra\n")
         with pytest.raises(AsdFileError, match=r":3:"):

@@ -99,6 +99,12 @@ class TestFitEfficiency:
         with pytest.raises(ValueError, match="exceeds"):
             fit_efficiency(6.0, 6.1, PhaseNoise(0.0))
 
+    def test_the_injected_level_holds_its_slack(self):
+        # no loss and no jitter attain the injected level, so a target at its slack fits
+        assert fit_efficiency(6.0, 6.0 + _RANGE_SLACK_DB, 0.0).estimate == 1.0
+        with pytest.raises(ValueError, match="exceeds"):
+            fit_efficiency(6.0, math.nextafter(6.0 + _RANGE_SLACK_DB, math.inf), 0.0)
+
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError, match=">= 0"):
             fit_efficiency(6.0, -0.5, PhaseNoise(0.0))

@@ -20,7 +20,9 @@ from sqznb import (
     propagate,
     state_from_db,
 )
-from sqznb.states import MAX_INJECT_DB, jitter_weight, loss_map, mix, readout_db, variances_from_db
+from sqznb.states import (
+    _QUOTE_LIMIT, HEISENBERG_RTOL, MAX_INJECT_DB, _quote, jitter_weight, loss_map, mix, readout_db, variances_from_db,
+)
 
 
 class TestSqueezedState:
@@ -50,6 +52,19 @@ class TestSqueezedState:
     def test_pure_state_on_the_bound_is_accepted(self):
         state = SqueezedState(10.0, 0.1)
         assert state.uncertainty_product == pytest.approx(1.0, rel=1e-12)
+
+    def test_product_at_the_tolerance_is_accepted(self):
+        # the bound is 1 - HEISENBERG_RTOL inclusive: the next float below it is refused
+        SqueezedState(1.0, 1.0 - HEISENBERG_RTOL)
+        with pytest.raises(ValueError, match="Heisenberg"):
+            SqueezedState(1.0, math.nextafter(1.0 - HEISENBERG_RTOL, 0.0))
+
+
+class TestQuote:
+    def test_a_repr_of_the_limit_is_whole(self):
+        text = "x" * (_QUOTE_LIMIT - 2)  # its repr adds the two quotes
+        assert _quote(text) == repr(text)
+        assert _quote(text + "x") == f"{repr(text + 'x')[:_QUOTE_LIMIT]}...[{_QUOTE_LIMIT + 1} characters]"
 
 
 class TestPhaseNoise:
@@ -216,7 +231,9 @@ class TestApplyPhaseNoise:
 
 class TestDetectedDb:
     def test_vacuum_reads_zero(self):
-        assert detected_db(VACUUM) == 0.0
+        # a plain 0.0, not the -0.0 of -10 * log10(1), for a scalar and an array
+        assert detected_db(VACUUM) == 0.0 and math.copysign(1.0, detected_db(VACUUM)) == 1.0
+        assert not np.signbit(readout_db(np.ones(3))).any()
 
     def test_frozen_examples(self):
         assert detected_db(SqueezedState(5.274684943045468, 0.6010631892350676)) == pytest.approx(
