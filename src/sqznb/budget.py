@@ -51,6 +51,22 @@ class AsdFileError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+#: Array kinds as_float would refuse as numbers: bool, complex and text.
+_NOT_REAL = {"b": "bool", "c": "complex", "S": "text", "U": "text"}
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, else ValueError naming ``name`` for a bool, complex or text dtype.
+
+    An ndarray is judged by its own dtype, with no pass over its elements and
+    no copy when it holds floats already; anything else by the dtype numpy gives it.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind in _NOT_REAL:
+        raise ValueError(f"{name} must be real numbers, got {_NOT_REAL[a.dtype.kind]} {_quote(values)}")
+    return a.astype(float, copy=False)
+
+
 def _validated_curve(frequencies, curves=(), *, min_points=1):
     """The rule for a frequency curve: return the frequencies and values as float arrays.
 
@@ -58,7 +74,8 @@ def _validated_curve(frequencies, curves=(), *, min_points=1):
     positive, finite, strictly increasing values, else ValueError.  Each
     ``(name, values)`` pair in ``curves`` must have the same shape, else
     ValueError, and positive finite values, else NumericalRangeError naming
-    the first bad frequency.
+    the first bad frequency.  A bool, complex or text grid or curve is a
+    ValueError naming it (``_real_array``).
 
     Each test is one pass of comparisons, which NaN fails: a grid passes
     when ``f[0] > 0``, ``f[-1] < inf`` and every neighbour increases (so
@@ -66,7 +83,7 @@ def _validated_curve(frequencies, curves=(), *, min_points=1):
     positive and their max finite.  Only a failed test runs the
     per-element diagnostics that pick the message and the bad frequency.
     """
-    f = np.asarray(frequencies, dtype=float)
+    f = _real_array(frequencies, "frequencies")
     if f.ndim != 1:
         raise ValueError(f"frequencies must be a 1-d array, got shape {f.shape}")
     if f.size < min_points:
@@ -77,7 +94,7 @@ def _validated_curve(frequencies, curves=(), *, min_points=1):
         raise ValueError("frequencies must be strictly increasing")
     checked = []
     for name, values in curves:
-        v = np.asarray(values, dtype=float)
+        v = _real_array(values, name)
         if v.shape != f.shape:
             raise ValueError(f"{name} has shape {v.shape} but the frequency grid has {f.shape}")
         if not (v.min() > 0.0 and v.max() < math.inf):
@@ -239,7 +256,9 @@ class NoiseBudget:
     falls below the normal floats, that point is summed in units of its
     largest component m instead, as m·sqrt(Σ(c/m)²), so a total that is a
     finite float comes out as one.  The components are read-only, so none
-    can change under the total.  ``compose`` builds one from pairs.
+    can change under the total.  Each label is kept as ``str(label)``, and
+    labels that coincide then are refused, as ``compose`` (which builds one
+    from pairs) refuses them.
     """
 
     grid: np.ndarray
@@ -249,10 +268,11 @@ class NoiseBudget:
     def __post_init__(self):
         if not self.components:
             raise ValueError("need at least one component")
+        labels = _labels(self.components)
         grid, values = _validated_curve(
-            self.grid, [(f"component {_quote(k)}", v) for k, v in self.components.items()]
+            self.grid, [(f"component {_quote(k)}", v) for k, v in zip(labels, self.components.values())]
         )
-        comps = {label: _freeze(v) for label, v in zip(self.components, values)}
+        comps = {label: _freeze(v) for label, v in zip(labels, values)}
         columns = [comps[label] for label in sorted(comps)]
         with np.errstate(over="ignore"):  # an overflow fails the check of the total below
             power = _power_sum(columns)
@@ -281,13 +301,18 @@ def _power_sum(columns) -> np.ndarray:
     return power
 
 
-def compose(grid, components) -> NoiseBudget:
-    """Combine ``(label, values)`` pairs into a budget; labels must be unique."""
-    comps = [(str(label), values) for label, values in components]
-    labels = [label for label, _ in comps]
+def _labels(keys) -> list[str]:
+    """``str`` of each component label; ValueError if two of them coincide."""
+    labels = [str(key) for key in keys]
     if len(set(labels)) != len(labels):
         raise ValueError(f"component labels must be unique, got {_quote(labels)}")
-    return NoiseBudget(grid, dict(comps))
+    return labels
+
+
+def compose(grid, components) -> NoiseBudget:
+    """Combine ``(label, values)`` pairs into a budget; labels must be unique."""
+    pairs = list(components)
+    return NoiseBudget(grid, dict(zip(_labels(label for label, _ in pairs), [v for _, v in pairs])))
 
 
 @dataclass(frozen=True)

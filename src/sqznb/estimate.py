@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import _PROVIDERS
 from .states import MAX_INJECT_DB, MAX_PHASE_RMS, PhaseNoise, as_efficiency, as_float, propagate
-from .states import _phase_noise, as_inject_db, as_whole_number, jitter_weight, mix
+from .states import _detected_db_into, _phase_noise, as_inject_db, as_whole_number, jitter_weight, mix
 
 __all__ = list(_PROVIDERS["estimate"])
 
@@ -124,38 +124,6 @@ class McUncertaintyResult:
     seed: int
 
 
-def _detected_db_into(inject, eta, theta, out):
-    """``readout_db`` of the chain at each draw, written to ``out``; consumes the three draw rows.
-
-    The chain of the ``states`` helpers (variances_from_db, loss_map,
-    jitter_weight, mix, readout_db) with each operation and operand kept, so
-    each value has their bits: ``-s/10`` is ``-(s/10)``, ``x**2`` is
-    ``np.square`` and a product's operands commute.  The draw rows and
-    ``out`` hold every intermediate (``out`` the v_plus branch, the spent
-    ``eta`` row ``1 - eta`` and then ``1 - s2``), so nothing is allocated.
-    """
-    import numpy as np
-
-    np.divide(inject, 10.0, out=inject)
-    np.power(10.0, inject, out=out)  # v_plus
-    np.negative(inject, out=inject)
-    np.power(10.0, inject, out=inject)  # v_minus
-    np.sin(theta, out=theta)
-    np.square(theta, out=theta)  # s2
-    np.multiply(eta, inject, out=inject)
-    np.multiply(eta, out, out=out)
-    np.subtract(1.0, eta, out=eta)
-    np.add(inject, eta, out=inject)  # loss_map(v_minus, eta)
-    np.add(out, eta, out=out)  # loss_map(v_plus, eta)
-    np.subtract(1.0, theta, out=eta)
-    np.multiply(inject, eta, out=inject)
-    np.multiply(out, theta, out=out)
-    np.add(inject, out, out=inject)  # mix
-    np.log10(inject, out=out)
-    np.multiply(out, -10.0, out=out)
-    np.add(out, 0.0, out=out)
-
-
 def _first_order_sigma(
     inject_db: MeasurementWithUncertainty,
     efficiency: MeasurementWithUncertainty,
@@ -191,12 +159,13 @@ def mc_uncertainty(
 ) -> McUncertaintyResult:
     """Propagate input uncertainties to the detected squeezing level.
 
-    Draws independent Gaussians per input, pushes each draw through the
-    forward chain, and reports the sample mean and standard deviation of the
-    detected dB.  Draws outside the domain (injection outside
-    [0, MAX_INJECT_DB], efficiency outside [0, 1], jitter outside [0, pi/4))
-    are clamped to the domain edge and counted; each sigma may be at most the
-    width of its input's domain (MAX_INJECT_DB dB, 1, MAX_PHASE_RMS rad).
+    Draws independent Gaussians per input, pushes each block of draws through
+    the forward chain's array form (states._detected_db_into), and reports
+    the sample mean and standard deviation of the detected dB.  Draws outside
+    the domain (injection outside [0, MAX_INJECT_DB], efficiency outside
+    [0, 1], jitter outside [0, pi/4)) are clamped to the domain edge and
+    counted; each sigma may be at most the width of its input's domain
+    (MAX_INJECT_DB dB, 1, MAX_PHASE_RMS rad).
     The draws come in blocks of ``MC_BLOCK``: block ``b`` is drawn from
     ``Philox(seed)`` jumped ``b`` times (a jump advances the counter by
     2**128), so results are reproducible for a fixed (samples, seed).  Memory

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _PROVIDERS
-from .budget import _freeze, _validated_curve
+from .budget import _freeze, _real_array, _validated_curve
 from .states import ANGLE_POLICIES, VACUUM, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
 from .states import _quote, as_float, as_inject_db, mix, propagate
 
@@ -152,7 +152,7 @@ def _curve(name: str, frequency, rule, *args):
     numpy's warnings are off while ``rule`` runs: an overflow leaves an inf or
     a NaN, which the one _validated_curve call names, after any fault of the grid.
     """
-    f = np.atleast_1d(np.asarray(frequency, dtype=float))
+    f = np.atleast_1d(_real_array(frequency, "frequencies"))
     with np.errstate(all="ignore"):
         values = rule(*args, 2.0 * np.pi * f)
     _, (out,) = _validated_curve(f, [(name, values)])
@@ -257,6 +257,6 @@ def quantum_noise_curve(
     config: InterferometerConfig, setup: SqueezerSetup, frequencies
 ) -> QuantumNoiseCurve:
     """Evaluate the quantum noise ASD over a grid of frequencies, in one vectorized pass."""
-    f = np.asarray(frequencies, dtype=float)
+    f = _real_array(frequencies, "frequencies")
     with np.errstate(all="ignore"):  # the record's one check names an inf or a NaN
         return QuantumNoiseCurve(f, _quantum_asd(config, setup, 2.0 * np.pi * f), config, setup)

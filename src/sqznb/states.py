@@ -107,20 +107,12 @@ def as_whole_number(value, name: str, *, ge: int = 0) -> int:
     return int(value)
 
 
-# The forward arithmetic, written once, on floats or numpy arrays and without
-# validation.  Floats go through math and arrays through numpy, whose log10 and
-# sin can differ from libm's in the last bit, so each keeps its own bits.  The
-# Monte Carlo runs the same operations in place (estimate._detected_db_into);
-# TestMcKernelAgainstHelperChain in tests/test_estimate.py holds it to these
-# helpers bit for bit.
-
-
-def _lib(x):
-    if isinstance(x, (int, float)):
-        return math
-    import numpy  # loaded already by whoever made the array; states stays pure math
-
-    return numpy
+# The forward arithmetic, written once and without validation.  The helpers
+# run on floats through math, so the scalar commands start without numpy; the
+# ones made of operators alone also take arrays (interferometer mixes curves).
+# _detected_db_into is the chain's one array form, run in place by the Monte
+# Carlo; TestMcKernelAgainstHelperChain holds it bit for bit to the helpers
+# spelt with numpy's sin and log10, which can differ from libm's in the last bit.
 
 
 def variances_from_db(squeeze_db):
@@ -135,7 +127,7 @@ def loss_map(v, eta):
 
 def jitter_weight(theta_rms):
     """Share of the orthogonal quadrature that jitter mixes in; see apply_phase_noise."""
-    return _lib(theta_rms).sin(theta_rms) ** 2
+    return math.sin(theta_rms) ** 2
 
 
 def mix(v, v_orth, s2):
@@ -146,7 +138,39 @@ def mix(v, v_orth, s2):
 def readout_db(v):
     """Squeezing in dB below vacuum of a measured variance ``v``."""
     # "+ 0.0" folds the -0.0 produced by vacuum into a plain 0.0
-    return -10.0 * _lib(v).log10(v) + 0.0
+    return -10.0 * math.log10(v) + 0.0
+
+
+def _detected_db_into(inject, eta, theta, out):
+    """``readout_db`` of the chain at each draw, written to ``out``; consumes the three draw rows.
+
+    The array form of the helpers above, run by estimate.mc_uncertainty on
+    each block of draws, with each operation and operand kept so each value
+    has their bits under numpy's sin and log10: ``-s/10`` is ``-(s/10)``,
+    ``x**2`` is ``np.square`` and a product's operands commute.  The draw
+    rows and ``out`` hold every intermediate (``out`` the v_plus branch, the
+    spent ``eta`` row ``1 - eta`` and then ``1 - s2``), so nothing is allocated.
+    """
+    import numpy as np  # only the Monte Carlo calls it; states stays pure math
+
+    np.divide(inject, 10.0, out=inject)
+    np.power(10.0, inject, out=out)  # v_plus
+    np.negative(inject, out=inject)
+    np.power(10.0, inject, out=inject)  # v_minus
+    np.sin(theta, out=theta)
+    np.square(theta, out=theta)  # s2
+    np.multiply(eta, inject, out=inject)
+    np.multiply(eta, out, out=out)
+    np.subtract(1.0, eta, out=eta)
+    np.add(inject, eta, out=inject)  # loss_map(v_minus, eta)
+    np.add(out, eta, out=out)  # loss_map(v_plus, eta)
+    np.subtract(1.0, theta, out=eta)
+    np.multiply(inject, eta, out=inject)
+    np.multiply(out, theta, out=out)
+    np.add(inject, out, out=inject)  # mix
+    np.log10(inject, out=out)
+    np.multiply(out, -10.0, out=out)
+    np.add(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -222,11 +246,11 @@ class LossChain:
     elements: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        normalized = tuple(
-            (str(label), as_efficiency(eff, f"efficiency for {_quote(label)}"))
-            for label, eff in self.elements
-        )
-        object.__setattr__(self, "elements", normalized)
+        try:
+            elements = tuple(self.elements)
+        except TypeError:
+            raise ValueError(f"elements must be (label, efficiency) pairs, got {_quote(self.elements)}") from None
+        object.__setattr__(self, "elements", tuple(map(_loss_element, elements)))
 
     @classmethod
     def from_total(cls, efficiency: float) -> "LossChain":
@@ -240,6 +264,15 @@ class LossChain:
 
     def __iter__(self):
         return iter(self.elements)
+
+
+def _loss_element(element) -> tuple[str, float]:
+    """A LossChain element as ``(str(label), efficiency)``, else ValueError naming it."""
+    try:
+        label, eff = element
+    except (TypeError, ValueError):
+        raise ValueError(f"a loss element must be a (label, efficiency) pair, got {_quote(element)}") from None
+    return str(label), as_efficiency(eff, f"efficiency for {_quote(label)}")
 
 
 def state_from_db(squeeze_db: float) -> SqueezedState:

@@ -143,7 +143,9 @@ def _decade(d: int) -> str:
 
 
 def _xml_text(text: str, what: str) -> str:
-    """``text`` if it is made only of XML 1.0 characters, else ValueError naming ``what``."""
+    """``text`` if it is a str made only of XML 1.0 characters, else ValueError naming ``what``."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be text, got {_quote(text)}")
     bad = _NOT_XML_CHAR.search(text)
     if bad:
         raise ValueError(f"{what} holds {bad.group()!r}, which is not an XML 1.0 character")

@@ -266,6 +266,19 @@ class TestCompose:
         with pytest.raises(ValueError, match="grid"):
             compose(self.GRID, [("a", np.ones(3))])
 
+    def test_budget_keys_are_labels_by_the_rule_of_compose(self):
+        ones = np.ones_like(self.GRID)
+        budget = NoiseBudget(self.GRID, {2: ones, "a": 2.0 * ones, 1: ones})
+        assert list(budget.components) == ["2", "a", "1"]
+        composed = compose(self.GRID, [(2, ones), ("a", 2.0 * ones), (1, ones)])
+        np.testing.assert_array_equal(budget.total, composed.total)
+        assert list(NoiseBudget(self.GRID, {1: ones}).components) == ["1"]
+
+    def test_budget_keys_that_coincide_as_labels_are_rejected(self):
+        ones = np.ones_like(self.GRID)
+        with pytest.raises(ValueError, match=r"^component labels must be unique, got \['1', '1'\]$"):
+            NoiseBudget(self.GRID, {1: ones, "1": ones})
+
     def test_no_component_rejected(self):
         with pytest.raises(ValueError, match="need at least one component"):
             NoiseBudget(self.GRID, {})
@@ -322,6 +335,9 @@ def test_svg_needs_a_curve(tmp_path):
         ("a\x01b", "", r"label 'a\\x01b' holds '\\x01'"),
         ("a", "H1\ufffe", r"title holds '\\ufffe'"),
         ("a\ud800", "", r"label 'a\\ud800' holds '\\ud800'"),
+        (5, "", r"^label 5 must be text, got 5$"),
+        ("a", None, r"^title must be text, got None$"),
+        ("a", b"H1", r"^title must be text, got b'H1'$"),
     ],
 )
 def test_svg_rejects_text_xml_cannot_carry_and_writes_no_file(tmp_path, label, title, message):
@@ -402,6 +418,43 @@ class TestCurveCheckAtEveryEntryPoint:
             call(np.array(grid), np.array(values))
         assert type(info.value) is ValueError
         assert str(info.value) == message
+        assert written is None or not written.exists()
+
+    #: Inputs that as_float refuses as numbers, with the kind the message names.
+    NOT_REAL = [
+        pytest.param(True, "bool", id="bool"),
+        pytest.param(np.bool_(True), "bool", id="numpy-bool"),
+        pytest.param([True, True, True, True], "bool", id="bool-list"),
+        pytest.param(np.ones(4, dtype=bool), "bool", id="bool-array"),
+        pytest.param("100", "text", id="text"),
+        pytest.param(["10", "20", "30", "40"], "text", id="text-list"),
+        pytest.param(np.array([b"10", b"20", b"30", b"40"]), "text", id="bytes-array"),
+        pytest.param(10j, "complex", id="complex"),
+        pytest.param(np.array([10.0, 20.0, 30.0, 40.0], dtype=complex), "complex", id="complex-array"),
+    ]
+
+    @pytest.mark.parametrize("grid, kind", NOT_REAL)
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_frequencies_that_are_not_real_numbers(self, tmp_path, aligo_like, entry, grid, kind):
+        _, call, _, written = self.entries(tmp_path, aligo_like)[entry]
+        with pytest.raises(ValueError) as info:
+            call(grid, np.array(self.VALUES))
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"frequencies must be real numbers, got {kind} ")
+        assert written is None or not written.exists()
+
+    @pytest.mark.parametrize("values, kind", [p for p in NOT_REAL if p.id.endswith(("list", "array"))])
+    @pytest.mark.parametrize(
+        "entry",
+        [e for e in ENTRIES
+         if e not in ("resample", "quantum_noise_asd", "quantum_noise_curve", "sql_asd", "coupling_kappa")],
+    )
+    def test_values_that_are_not_real_numbers(self, tmp_path, aligo_like, entry, values, kind):
+        _, call, name, written = self.entries(tmp_path, aligo_like)[entry]
+        with pytest.raises(ValueError) as info:
+            call(np.array([10.0, 20.0, 30.0, 40.0]), values)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{name} must be real numbers, got {kind} ")
         assert written is None or not written.exists()
 
     @pytest.mark.parametrize("bad", [NAN, INF, 0.0, -0.0], ids=["nan", "inf", "zero", "minus-zero"])

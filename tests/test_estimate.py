@@ -22,8 +22,8 @@ from sqznb import (
     optimal_inject_db,
     propagate,
 )
-from sqznb.estimate import _RANGE_SLACK_DB, _THETA_MAX, MC_BLOCK, _detected_db_into
-from sqznb.states import MAX_INJECT_DB, jitter_weight, loss_map, mix, readout_db, variances_from_db
+from sqznb.estimate import _RANGE_SLACK_DB, _THETA_MAX, MC_BLOCK
+from sqznb.states import MAX_INJECT_DB, _detected_db_into, loss_map, mix, variances_from_db
 from conftest import NO_AVX512, child_env, host_has_avx512f
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -285,10 +285,12 @@ class TestMcUncertainty:
 def helper_chain_mc(inject_db, efficiency, phase_rms, samples, seed):
     """``mc_uncertainty``'s block loop written with the ``states`` helpers, one fresh array per step.
 
-    The oracle of the in-place kernel: the same Philox blocks, each input
-    clipped to its domain and counted where ``raw != clip(raw)``, and the same
-    reduction.  Returns the mean, the standard deviation and the clamp counts
-    of each block as ``(inject_db, efficiency, phase_rms)``.
+    The oracle of the in-place kernel ``states._detected_db_into``: the same
+    Philox blocks, each input clipped to its domain and counted where
+    ``raw != clip(raw)``, and the same reduction.  ``jitter_weight`` and
+    ``readout_db`` take floats only, so their two numpy calls are spelt out.
+    Returns the mean, the standard deviation and the clamp counts of each
+    block as ``(inject_db, efficiency, phase_rms)``.
     """
     detected = np.empty(samples)
     block_counts = []
@@ -302,8 +304,8 @@ def helper_chain_mc(inject_db, efficiency, phase_rms, samples, seed):
             counts.append(int(np.count_nonzero(raw != drawn[-1])))
         inj, eff, theta = drawn
         v_plus, v_minus = variances_from_db(inj)
-        s2 = jitter_weight(theta)
-        detected[start:stop] = readout_db(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2))
+        s2 = np.sin(theta) ** 2  # jitter_weight
+        detected[start:stop] = -10.0 * np.log10(mix(loss_map(v_minus, eff), loss_map(v_plus, eff), s2)) + 0.0
         block_counts.append(tuple(counts))
     return float(np.mean(detected)), float(np.std(detected, ddof=1)), block_counts
 

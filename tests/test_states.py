@@ -21,7 +21,7 @@ from sqznb import (
     state_from_db,
 )
 from sqznb.states import (
-    _QUOTE_LIMIT, HEISENBERG_RTOL, MAX_INJECT_DB, _quote, jitter_weight, loss_map, mix, readout_db, variances_from_db,
+    _QUOTE_LIMIT, HEISENBERG_RTOL, MAX_INJECT_DB, _detected_db_into, _quote,
 )
 
 
@@ -92,6 +92,21 @@ class TestLossChain:
     def test_rejects_out_of_range_efficiency(self, bad):
         with pytest.raises(ValueError, match="'x'"):
             LossChain((("x", bad),))
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ("ab", "a loss element must be a (label, efficiency) pair, got 'a'"),
+            (5, "elements must be (label, efficiency) pairs, got 5"),
+            ((("a", 0.5), ("b",)), "a loss element must be a (label, efficiency) pair, got ('b',)"),
+            ((("a", 0.5), 0.9), "a loss element must be a (label, efficiency) pair, got 0.9"),
+            ((("a", 0.5, "c"),), "a loss element must be a (label, efficiency) pair, got ('a', 0.5, 'c')"),
+        ],
+    )
+    def test_malformed_element_is_named(self, elements, message):
+        with pytest.raises(ValueError) as info:
+            LossChain(elements)
+        assert type(info.value) is ValueError and str(info.value) == message
 
     def test_zero_element_is_allowed(self):
         # the same [0, 1] rule as a bare efficiency: a blocking element gives vacuum
@@ -231,9 +246,11 @@ class TestApplyPhaseNoise:
 
 class TestDetectedDb:
     def test_vacuum_reads_zero(self):
-        # a plain 0.0, not the -0.0 of -10 * log10(1), for a scalar and an array
+        # a plain 0.0, not the -0.0 of -10 * log10(1), for a scalar and the array kernel
         assert detected_db(VACUUM) == 0.0 and math.copysign(1.0, detected_db(VACUUM)) == 1.0
-        assert not np.signbit(readout_db(np.ones(3))).any()
+        out = np.empty(3)
+        _detected_db_into(np.zeros(3), np.full(3, 0.5), np.zeros(3), out=out)
+        assert not np.signbit(out).any()
 
     def test_frozen_examples(self):
         assert detected_db(SqueezedState(5.274684943045468, 0.6010631892350676)) == pytest.approx(
@@ -312,9 +329,8 @@ class TestForwardKernel:
     def test_arrays_match_the_scalar_chain(self):
         rng = np.random.default_rng(14)
         inject, eta, theta = rng.uniform(0, 30, 300), rng.uniform(0, 1, 300), rng.uniform(0, 0.7, 300)
-        v_plus, v_minus = variances_from_db(inject)
-        s2 = jitter_weight(theta)
-        detected = readout_db(mix(loss_map(v_minus, eta), loss_map(v_plus, eta), s2))
+        detected = np.empty(300)
+        _detected_db_into(inject.copy(), eta.copy(), theta.copy(), out=detected)
         expected = [
             propagate(float(s), float(e), float(t)).detected_db
             for s, e, t in zip(inject, eta, theta)
