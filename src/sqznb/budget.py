@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _PROVIDERS
-from .states import NumericalRangeError, _quote, as_float, as_inject_db
+from .states import NumericalRangeError, _Named, _is_number, _quote, as_float, as_inject_db
 
 __all__ = list(_PROVIDERS["budget"])
 
@@ -53,17 +53,26 @@ class AsdFileError(ValueError):
 
 #: Array kinds as_float would refuse as numbers: bool, complex and text.
 _NOT_REAL = {"b": "bool", "c": "complex", "S": "text", "U": "text"}
+_FLOAT64 = np.dtype(float)  # an ndarray of this dtype passes _real_array as it is
 
 
 def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, else ValueError naming ``name`` for a bool, complex or text dtype.
+    """``values`` as a float array, else ValueError naming ``name`` unless each element is a number.
 
-    An ndarray is judged by its own dtype, with no pass over its elements and
-    no copy when it holds floats already; anything else by the dtype numpy gives it.
+    A native float64 ndarray is returned as is.  Any other ndarray is judged
+    by its dtype, with no pass over its elements; a bool, complex or text
+    dtype names its kind.  A list or an object array, whose dtype can hide a
+    bool or a number's text among numbers, has each element checked by as_float's rule.
     """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
     a = np.asarray(values)
     if a.dtype.kind in _NOT_REAL:
         raise ValueError(f"{name} must be real numbers, got {_NOT_REAL[a.dtype.kind]} {_quote(values)}")
+    if (a.dtype.kind == "O" or not isinstance(values, np.ndarray)) and not all(
+        map(_is_number, np.asarray(values, dtype=object).flat)
+    ):
+        raise ValueError(f"{name} must be real numbers, got {_quote(values)}")
     return a.astype(float, copy=False)
 
 
@@ -236,11 +245,11 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
     out = 10.0 ** np.interp(np.log10(g), np.log10(table.frequencies), np.log10(table.asd))
     # snap knots to their values bit-exactly, searching the shorter array in the longer
     if len(table) <= g.size:
-        idx = np.searchsorted(g[:-1], table.frequencies)  # in range, at the one point that can match
+        idx = g[:-1].searchsorted(table.frequencies)  # in range, at the one point that can match
         hit = g[idx] == table.frequencies
         out[idx[hit]] = table.asd[hit]
     else:
-        idx = np.searchsorted(table.frequencies[:-1], g)
+        idx = table.frequencies[:-1].searchsorted(g)
         hit = table.frequencies[idx] == g
         out[hit] = table.asd[idx[hit]]
     return out
@@ -270,7 +279,7 @@ class NoiseBudget:
             raise ValueError("need at least one component")
         labels = _labels(self.components)
         grid, values = _validated_curve(
-            self.grid, [(f"component {_quote(k)}", v) for k, v in zip(labels, self.components.values())]
+            self.grid, [(_Named(("component", k)), v) for k, v in zip(labels, self.components.values())]
         )
         comps = {label: _freeze(v) for label, v in zip(labels, values)}
         columns = [comps[label] for label in sorted(comps)]
@@ -341,7 +350,7 @@ def _band(band, grid, name: str):
         raise ValueError(
             f"{name} [{lo}, {hi}] Hz lies outside the grid span [{grid[0]}, {grid[-1]}] Hz"
         )
-    inside = slice(np.searchsorted(grid, lo), np.searchsorted(grid, hi, "right"))  # grid increases
+    inside = slice(grid.searchsorted(lo), grid.searchsorted(hi, "right"))  # grid increases
     if inside.start == inside.stop:
         raise ValueError(f"no grid points inside {name} [{lo}, {hi}] Hz")
     return lo, hi, inside
@@ -356,12 +365,12 @@ def improvement_db(reference: NoiseBudget, squeezed: NoiseBudget, band) -> BandI
     must pass ``_band`` on it.
     """
     lo, hi, inside = _band(band, reference.grid, "band")
-    if not np.array_equal(reference.grid, squeezed.grid):
+    if reference.grid.shape != squeezed.grid.shape or not (reference.grid == squeezed.grid).all():
         raise ValueError("budgets are on different frequency grids")
     ratio = reference.total[inside] / squeezed.total[inside]
     return BandImprovement(
         median_db=20.0 * math.log10(_median(ratio)),
-        max_db=20.0 * math.log10(float(np.max(ratio))),
+        max_db=20.0 * math.log10(float(ratio.max())),
         band=(lo, hi),
         points=int(inside.stop - inside.start),
     )

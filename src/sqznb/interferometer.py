@@ -35,8 +35,8 @@ import numpy as np
 
 from . import _PROVIDERS
 from .budget import _freeze, _real_array, _validated_curve
-from .states import ANGLE_POLICIES, VACUUM, LossChain, NumericalRangeError, PhaseNoise, SqueezedState
-from .states import _quote, as_float, as_inject_db, mix, propagate
+from .states import ANGLE_POLICIES, MAX_INJECT_DB, VACUUM, LossChain, NumericalRangeError, PhaseNoise
+from .states import SqueezedState, _quote, as_float, as_inject_db, mix, propagate
 
 __all__ = list(_PROVIDERS["interferometer"])
 
@@ -72,7 +72,9 @@ class InterferometerConfig:
 
     def __post_init__(self):
         for name in ("arm_length", "mirror_mass", "arm_power", "cavity_pole", "wavelength"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name, gt=0.0))
+            x = getattr(self, name)
+            if not (type(x) is float and 0.0 < x < math.inf):  # NaN fails it
+                object.__setattr__(self, name, as_float(x, name, gt=0.0))
 
     @classmethod
     def from_finesse(
@@ -123,7 +125,9 @@ class SqueezerSetup:
     fixed_angle: float = math.pi / 2
 
     def __post_init__(self):
-        object.__setattr__(self, "inject_db", as_inject_db(self.inject_db))
+        inject, angle = self.inject_db, self.fixed_angle
+        if not (type(inject) is float and 0.0 <= inject <= MAX_INJECT_DB):  # NaN fails it
+            object.__setattr__(self, "inject_db", as_inject_db(inject))
         if not isinstance(self.chain, LossChain):
             raise ValueError("chain must be a LossChain")
         if not isinstance(self.phase_noise, PhaseNoise):
@@ -132,8 +136,9 @@ class SqueezerSetup:
             raise ValueError(
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {_quote(self.angle_policy)}"
             )
-        angle = as_float(self.fixed_angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
-        object.__setattr__(self, "fixed_angle", angle)
+        if not (type(angle) is float and 0.0 <= angle < math.pi):
+            angle = as_float(angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
+            object.__setattr__(self, "fixed_angle", angle)
 
     @property
     def efficiency(self) -> float:

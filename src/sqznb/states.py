@@ -51,6 +51,13 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_LIMIT]}...[{len(text)} characters]"
 
 
+class _Named(tuple):
+    """A name ``kind 'label'`` held as ``(kind, label)``, quoted only when a message prints it."""
+
+    def __str__(self):
+        return f"{self[0]} {_quote(self[1])}"
+
+
 def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str = "") -> float:
     """``value`` as a finite float in an interval, else ValueError naming ``name``.
 
@@ -58,21 +65,29 @@ def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str 
     upper end; an end left as None is unbounded.  A bool or a non-number is
     rejected.  ``unit`` follows the interval in the message.
     """
-    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+    if type(value) is float:  # already the float that float() would return
+        x = value
+    elif _is_number(value):
         try:
             x = float(value)
         except OverflowError:  # an int past the float range, such as a 400-digit JSON number
             x = math.inf
-        if (
-            math.isfinite(x)
-            and (ge is None or x >= ge)
-            and (gt is None or x > gt)
-            and (le is None or x <= le)
-            and (lt is None or x < lt)
-        ):
-            return x
-        raise ValueError(f"{name} must be {_interval(ge, gt, le, lt, unit)}, got {_quote(value)}")
-    raise ValueError(f"{name} must be a number, got {_quote(value)}")
+    else:
+        raise ValueError(f"{name} must be a number, got {_quote(value)}")
+    if (
+        math.isfinite(x)
+        and (ge is None or x >= ge)
+        and (gt is None or x > gt)
+        and (le is None or x <= le)
+        and (lt is None or x < lt)
+    ):
+        return x
+    raise ValueError(f"{name} must be {_interval(ge, gt, le, lt, unit)}, got {_quote(value)}")
+
+
+def _is_number(value) -> bool:
+    """as_float's rule for a number: a real that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _interval(ge, gt, le, lt, unit: str) -> str:
@@ -88,11 +103,15 @@ def _interval(ge, gt, le, lt, unit: str) -> str:
 
 def as_efficiency(value, name: str = "efficiency") -> float:
     """``value`` as a power efficiency: a finite number in [0, 1], else ValueError naming ``name``."""
+    if type(value) is float and 0.0 <= value <= 1.0:  # as_float's answer in one comparison; NaN fails it
+        return value
     return as_float(value, name, ge=0.0, le=1.0)
 
 
 def as_inject_db(value, name: str = "inject_db") -> float:
     """``value`` as an injection level in [0, MAX_INJECT_DB] dB, else ValueError naming ``name``."""
+    if type(value) is float and 0.0 <= value <= MAX_INJECT_DB:  # as in as_efficiency
+        return value
     return as_float(value, name, ge=0.0, le=MAX_INJECT_DB, unit=" dB")
 
 
@@ -192,14 +211,15 @@ class SqueezedState:
     v_minus: float
 
     def __post_init__(self):
-        object.__setattr__(self, "v_plus", as_float(self.v_plus, "v_plus", gt=0.0))
-        object.__setattr__(self, "v_minus", as_float(self.v_minus, "v_minus", gt=0.0))
-        if self.v_plus < self.v_minus:
-            raise ValueError(
-                "variance labels are swapped: "
-                f"v_plus={self.v_plus!r} < v_minus={self.v_minus!r}"
-            )
-        product = self.v_plus * self.v_minus
+        v_plus, v_minus = self.v_plus, self.v_minus
+        # one comparison passes floats in order, positive and finite; the field rules pick any message
+        if not (type(v_plus) is float and type(v_minus) is float and 0.0 < v_minus <= v_plus < math.inf):
+            v_plus, v_minus = as_float(v_plus, "v_plus", gt=0.0), as_float(v_minus, "v_minus", gt=0.0)
+            object.__setattr__(self, "v_plus", v_plus)
+            object.__setattr__(self, "v_minus", v_minus)
+            if v_plus < v_minus:
+                raise ValueError(f"variance labels are swapped: v_plus={v_plus!r} < v_minus={v_minus!r}")
+        product = v_plus * v_minus
         if product < 1.0 - HEISENBERG_RTOL:
             raise ValueError(
                 f"unphysical state: v_plus*v_minus = {product!r} is below the Heisenberg bound"
@@ -225,8 +245,10 @@ class PhaseNoise:
     theta_rms: float = 0.0
 
     def __post_init__(self):
-        theta = as_float(self.theta_rms, "theta_rms", ge=0.0, lt=MAX_PHASE_RMS, unit=" rad")
-        object.__setattr__(self, "theta_rms", theta)
+        theta = self.theta_rms
+        if not (type(theta) is float and 0.0 <= theta < MAX_PHASE_RMS):  # NaN fails it
+            theta = as_float(theta, "theta_rms", ge=0.0, lt=MAX_PHASE_RMS, unit=" rad")
+            object.__setattr__(self, "theta_rms", theta)
 
 
 def _phase_noise(value) -> PhaseNoise:
@@ -272,7 +294,7 @@ def _loss_element(element) -> tuple[str, float]:
         label, eff = element
     except (TypeError, ValueError):
         raise ValueError(f"a loss element must be a (label, efficiency) pair, got {_quote(element)}") from None
-    return str(label), as_efficiency(eff, f"efficiency for {_quote(label)}")
+    return str(label), as_efficiency(eff, _Named(("efficiency for", label)))
 
 
 def state_from_db(squeeze_db: float) -> SqueezedState:

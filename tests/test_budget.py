@@ -420,7 +420,8 @@ class TestCurveCheckAtEveryEntryPoint:
         assert str(info.value) == message
         assert written is None or not written.exists()
 
-    #: Inputs that as_float refuses as numbers, with the kind the message names.
+    #: Inputs that as_float refuses as numbers, with the kind the message names; a list or
+    #: object array that mixes one among numbers names no kind, and its message quotes it whole.
     NOT_REAL = [
         pytest.param(True, "bool", id="bool"),
         pytest.param(np.bool_(True), "bool", id="numpy-bool"),
@@ -431,7 +432,14 @@ class TestCurveCheckAtEveryEntryPoint:
         pytest.param(np.array([b"10", b"20", b"30", b"40"]), "text", id="bytes-array"),
         pytest.param(10j, "complex", id="complex"),
         pytest.param(np.array([10.0, 20.0, 30.0, 40.0], dtype=complex), "complex", id="complex-array"),
+        pytest.param([True, 100.0], None, id="bool-among-floats-list"),
+        pytest.param(np.array(["1", 100.0], dtype=object), None, id="text-among-floats-object-array"),
     ]
+
+    @staticmethod
+    def refusal(name, values, kind):
+        """The start of the message that refuses ``values`` as ``name``."""
+        return f"{name} must be real numbers, got {kind + ' ' if kind else repr(values)}"
 
     @pytest.mark.parametrize("grid, kind", NOT_REAL)
     @pytest.mark.parametrize("entry", ENTRIES)
@@ -440,7 +448,7 @@ class TestCurveCheckAtEveryEntryPoint:
         with pytest.raises(ValueError) as info:
             call(grid, np.array(self.VALUES))
         assert type(info.value) is ValueError
-        assert str(info.value).startswith(f"frequencies must be real numbers, got {kind} ")
+        assert str(info.value).startswith(self.refusal("frequencies", grid, kind))
         assert written is None or not written.exists()
 
     @pytest.mark.parametrize("values, kind", [p for p in NOT_REAL if p.id.endswith(("list", "array"))])
@@ -454,7 +462,7 @@ class TestCurveCheckAtEveryEntryPoint:
         with pytest.raises(ValueError) as info:
             call(np.array([10.0, 20.0, 30.0, 40.0]), values)
         assert type(info.value) is ValueError
-        assert str(info.value).startswith(f"{name} must be real numbers, got {kind} ")
+        assert str(info.value).startswith(self.refusal(name, values, kind))
         assert written is None or not written.exists()
 
     @pytest.mark.parametrize("bad", [NAN, INF, 0.0, -0.0], ids=["nan", "inf", "zero", "minus-zero"])

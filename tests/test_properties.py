@@ -6,9 +6,9 @@ efficiency, the optimal injection level, ``first_order_sigma_db`` and
 ``resample`` between knots to such oracles over fixed draw sets, a
 quantum-only budget's gain to the detected squeezing, the library, CLI and
 run-config paths to one domain rule per input, every record to the float
-that rule returns, the run config, ``budget`` and ``project`` to one band
-rule, ``resample``'s knots and ``improvement_db``'s band to the element-wise
-mask rule, every label to well-formed output files or none, the outputs of a run
+that rule returns, each exact-float fast test to that rule, the run config,
+``budget`` and ``project`` to one band rule, ``resample``'s knots and
+``improvement_db``'s band to the element-wise mask rule, every label to well-formed output files or none, the outputs of a run
 to distinct files, every component value a table can hold to well-formed
 files or none, the run-config loader to its schema, and ``ingest_asd`` to
 a row-by-row reader of the same contract.
@@ -18,6 +18,7 @@ Examples are derandomized so every run checks the same inputs.
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -65,7 +66,7 @@ from sqznb import (
     sql_asd,
 )
 from sqznb.cli import main
-from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS, _quote
+from sqznb.states import MAX_INJECT_DB, MAX_PHASE_RMS, _quote, as_efficiency, as_float, as_inject_db
 from test_readme import strict_json
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -631,6 +632,86 @@ def test_records_store_the_float_their_rule_returns(kind):
                 assert type(getattr(record, field.name)) is float, (type(record).__name__, field.name)
     assert given == reference
     assert results(*given) == results(*reference)
+
+
+class FloatSub(float):
+    """A float subclass, with float's repr: it takes as_float's full rule past every exact-float test."""
+
+
+def full_rule(value):
+    """``value`` as an input that no exact-float test accepts, with the same repr in every message."""
+    return FloatSub(value) if type(value) is float else value
+
+
+def edge_floats(*ends):
+    """Each end and one ulp either side, NaN, ±inf and -0.0."""
+    edges = [v for end in ends for v in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+    return [*edges, math.nan, math.inf, -math.inf, -0.0]
+
+
+def number_inputs(*ends):
+    """Edge floats and any float, each also as ``np.float64`` and as a float subclass;
+    and ints, bools and non-numbers."""
+    floats = st.sampled_from(edge_floats(*ends)) | st.floats()
+    return (
+        floats
+        | floats.map(np.float64)
+        | floats.map(FloatSub)
+        | st.integers(-2, 2)
+        | st.sampled_from([True, False, None, "1"])
+    )
+
+
+_IFO = {"arm_length": 4000.0, "mirror_mass": 40.0, "arm_power": 8e5, "cavity_pole": 390.0}
+
+#: Each record and helper with an exact-float fast test: (the ends of its rule,
+#: the number of inputs it takes, call(*inputs) -> the floats it stores or returns).
+FAST_PATHS = {
+    "as_float": ((0.0, 1.0), 1, lambda x: [as_float(x, "x", ge=0.0, lt=1.0, unit=" u")]),
+    "as_efficiency": ((0.0, 1.0), 1, lambda x: [as_efficiency(x)]),
+    "as_inject_db": ((0.0, MAX_INJECT_DB), 1, lambda x: [as_inject_db(x)]),
+    "SqueezedState": ((0.0, 1.0, math.inf), 2, lambda a, b: dataclasses.astuple(SqueezedState(a, b))),
+    "PhaseNoise": ((0.0, MAX_PHASE_RMS), 1, lambda x: dataclasses.astuple(PhaseNoise(x))),
+    "LossChain": ((0.0, 1.0), 1, lambda x: [eff for _, eff in LossChain([("a", x)])]),
+    **{
+        f"InterferometerConfig.{name}": (
+            (0.0, math.inf),
+            1,
+            lambda x, name=name: dataclasses.astuple(InterferometerConfig(**{**_IFO, name: x}))[:5],
+        )
+        for name in [*_IFO, "wavelength"]
+    },
+    "SqueezerSetup.inject_db": ((0.0, MAX_INJECT_DB), 1, lambda x: [SqueezerSetup(x).inject_db]),
+    "SqueezerSetup.fixed_angle": ((0.0, math.pi), 1, lambda x: [SqueezerSetup(fixed_angle=x).fixed_angle]),
+}
+
+
+def outcome(call, inputs):
+    """The reprs of what ``call`` stores or returns, or the type and text of the ValueError it raises."""
+    try:
+        out = call(*inputs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(type(x) is float for x in out), out  # a numpy scalar or a subclass is kept as a plain float
+    return [repr(x) for x in out]
+
+
+@pytest.mark.parametrize("entry", sorted(FAST_PATHS))
+@settings(SETTINGS, max_examples=150)
+@given(data=st.data())
+def test_exact_float_fast_paths_follow_the_full_rule(entry, data):
+    """A fast test accepts exactly what as_float's full rule accepts, and a refusal has its message."""
+    ends, arity, call = FAST_PATHS[entry]
+    inputs = data.draw(st.tuples(*[number_inputs(*ends)] * arity), label=entry)
+    assert outcome(call, inputs) == outcome(call, [full_rule(x) for x in inputs])
+
+
+@pytest.mark.parametrize("entry", sorted(FAST_PATHS))
+def test_exact_float_fast_paths_follow_the_full_rule_at_every_edge(entry):
+    """Every tuple of edge floats, so that each end of each fast test is met exactly."""
+    ends, arity, call = FAST_PATHS[entry]
+    for inputs in itertools.product(edge_floats(*ends), repeat=arity):
+        assert outcome(call, inputs) == outcome(call, [full_rule(x) for x in inputs]), inputs
 
 
 #: Span ends: 10**log10(f) misses 3000 and 5000 by an ulp and lands on 10 and 10000.
