@@ -27,7 +27,7 @@ import math
 import sys
 from collections.abc import Mapping
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _PROVIDERS
-from .states import NumericalRangeError, _Named, _is_number, _quote, as_float, as_inject_db
+from .states import NumericalRangeError, _is_number, _quote, as_float, as_inject_db
 
 __all__ = list(_PROVIDERS["budget"])
 
@@ -122,8 +122,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Rebuilt:
+    """A frozen record that copy and pickle rebuild through its constructor, which checks and freezes again.
+
+    Neither keeps numpy's read-only flag, and a mappingproxy cannot be pickled, so it goes on as a dict.
+    """
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
+
+
 @dataclass(frozen=True, eq=False)
-class TabulatedASD:
+class TabulatedASD(_Rebuilt):
     """An ASD curve read from (or destined for) a CSV table."""
 
     frequencies: np.ndarray
@@ -137,10 +148,6 @@ class TabulatedASD:
         )
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(v))
-
-    def __reduce__(self):
-        # copy and pickle drop numpy's read-only flag; the constructor checks and freezes again
-        return TabulatedASD, (self.frequencies, self.asd, self.label, self.source)
 
     def __len__(self):
         return self.frequencies.size
@@ -256,7 +263,7 @@ def resample(table: TabulatedASD, grid) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseBudget:
+class NoiseBudget(_Rebuilt):
     """Named ASD components on a common grid and their quadrature sum.
 
     ``total`` is derived, not passed: the point-wise root-sum-square of the
@@ -279,7 +286,7 @@ class NoiseBudget:
             raise ValueError("need at least one component")
         labels = _labels(self.components)
         grid, values = _validated_curve(
-            self.grid, [(_Named(("component", k)), v) for k, v in zip(labels, self.components.values())]
+            self.grid, [(f"component {_quote(k)}", v) for k, v in zip(labels, self.components.values())]
         )
         comps = {label: _freeze(v) for label, v in zip(labels, values)}
         columns = [comps[label] for label in sorted(comps)]
@@ -296,10 +303,6 @@ class NoiseBudget:
         object.__setattr__(self, "components", MappingProxyType(comps))
         total.flags.writeable = False  # computed here, so no caller holds it
         object.__setattr__(self, "total", total)
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled; the constructor rebuilds it and freezes every array
-        return NoiseBudget, (self.grid, dict(self.components))
 
 
 def _power_sum(columns) -> np.ndarray:

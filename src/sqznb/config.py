@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _PROVIDERS
-from .budget import _band
+from .budget import _Rebuilt, _band
 from .interferometer import InterferometerConfig, SqueezerSetup
 from .states import LossChain, PhaseNoise, _quote, as_float, as_whole_number
 
@@ -32,7 +32,7 @@ LOW_BAND = (150.0, 300.0)
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Rebuilt):
     """Frequency grid: span, point count, and log or linear spacing; its points are built on construction."""
 
     f_min: float
@@ -70,10 +70,6 @@ class GridSpec:
     def frequencies(self) -> np.ndarray:
         """The grid points as one read-only array; the first is exactly ``f_min``, the last exactly ``f_max``."""
         return self._frequencies
-
-    def __reduce__(self):
-        # a copy or an unpickled grid is built again, so its array is read-only too
-        return GridSpec, (self.f_min, self.f_max, self.points, self.spacing)
 
 
 @dataclass(frozen=True)

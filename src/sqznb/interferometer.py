@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _PROVIDERS
-from .budget import _freeze, _real_array, _validated_curve
-from .states import ANGLE_POLICIES, MAX_INJECT_DB, VACUUM, LossChain, NumericalRangeError, PhaseNoise
+from .budget import _Rebuilt, _freeze, _real_array, _validated_curve
+from .states import ANGLE_POLICIES, VACUUM, LossChain, NumericalRangeError, PhaseNoise
 from .states import SqueezedState, _quote, as_float, as_inject_db, mix, propagate
 
 __all__ = list(_PROVIDERS["interferometer"])
@@ -125,9 +125,7 @@ class SqueezerSetup:
     fixed_angle: float = math.pi / 2
 
     def __post_init__(self):
-        inject, angle = self.inject_db, self.fixed_angle
-        if not (type(inject) is float and 0.0 <= inject <= MAX_INJECT_DB):  # NaN fails it
-            object.__setattr__(self, "inject_db", as_inject_db(inject))
+        object.__setattr__(self, "inject_db", as_inject_db(self.inject_db))
         if not isinstance(self.chain, LossChain):
             raise ValueError("chain must be a LossChain")
         if not isinstance(self.phase_noise, PhaseNoise):
@@ -136,6 +134,7 @@ class SqueezerSetup:
             raise ValueError(
                 f"angle_policy must be one of {ANGLE_POLICIES}, got {_quote(self.angle_policy)}"
             )
+        angle = self.fixed_angle
         if not (type(angle) is float and 0.0 <= angle < math.pi):
             angle = as_float(angle, "fixed_angle", ge=0.0, lt=math.pi, unit=" rad")
             object.__setattr__(self, "fixed_angle", angle)
@@ -237,7 +236,7 @@ def _quantum_asd(config: InterferometerConfig, setup: SqueezerSetup, omega: np.n
 
 
 @dataclass(frozen=True, eq=False)
-class QuantumNoiseCurve:
+class QuantumNoiseCurve(_Rebuilt):
     """Quantum noise ASD sampled on a frequency grid, with its provenance."""
 
     frequencies: np.ndarray
@@ -249,10 +248,6 @@ class QuantumNoiseCurve:
         f, (a,) = _validated_curve(self.frequencies, [("quantum noise ASD", self.asd)])
         object.__setattr__(self, "frequencies", _freeze(f))
         object.__setattr__(self, "asd", _freeze(a))
-
-    def __reduce__(self):
-        # copy and pickle drop numpy's read-only flag; the constructor checks and freezes again
-        return QuantumNoiseCurve, (self.frequencies, self.asd, self.config, self.setup)
 
     def __len__(self):
         return self.frequencies.size

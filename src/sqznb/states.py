@@ -51,13 +51,6 @@ def _quote(value) -> str:
     return f"{text[:_QUOTE_LIMIT]}...[{len(text)} characters]"
 
 
-class _Named(tuple):
-    """A name ``kind 'label'`` held as ``(kind, label)``, quoted only when a message prints it."""
-
-    def __str__(self):
-        return f"{self[0]} {_quote(self[1])}"
-
-
 def as_float(value, name: str, *, ge=None, gt=None, le=None, lt=None, unit: str = "") -> float:
     """``value`` as a finite float in an interval, else ValueError naming ``name``.
 
@@ -294,7 +287,7 @@ def _loss_element(element) -> tuple[str, float]:
         label, eff = element
     except (TypeError, ValueError):
         raise ValueError(f"a loss element must be a (label, efficiency) pair, got {_quote(element)}") from None
-    return str(label), as_efficiency(eff, _Named(("efficiency for", label)))
+    return str(label), as_efficiency(eff, f"efficiency for {_quote(label)}")
 
 
 def state_from_db(squeeze_db: float) -> SqueezedState:

@@ -803,12 +803,16 @@ def _frozen_records(config):
     ]
 
 
-@pytest.mark.parametrize("route", ["deepcopy", "pickle"])
+def _pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("route", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("index", range(4), ids=["GridSpec", "TabulatedASD", "QuantumNoiseCurve", "NoiseBudget"])
 def test_copies_of_frozen_records_stay_read_only(aligo_like, route, index):
     original, arrays, others = _frozen_records(aligo_like)[index]
-    copied = copy.deepcopy(original) if route == "deepcopy" else pickle.loads(pickle.dumps(original))
-    assert type(copied) is type(original)
+    copied = route(original)  # each route, a shallow copy too, builds a new record through the constructor
+    assert copied is not original and type(copied) is type(original)
     assert others(copied) == others(original)
     for mine, theirs in zip(arrays(copied), arrays(original), strict=True):
         assert mine.tobytes() == theirs.tobytes()
